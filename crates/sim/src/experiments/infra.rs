@@ -4,6 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use padc_core::SchedulingPolicy;
+use padc_types::Cycle;
 use padc_workloads::{BenchProfile, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -384,6 +385,13 @@ enum UnitWork {
     Workload { arm: PolicyArm, workload: Workload },
     /// Single-core run (memoized process-wide; see `run_single_at`).
     Single { arm: PolicyArm, bench: BenchProfile },
+    /// Single-core run that also samples core 0's `PAR` every `period`
+    /// cycles into [`Report::par_samples`] (see `run_sampled`).
+    Sampled {
+        arm: PolicyArm,
+        bench: BenchProfile,
+        period: Cycle,
+    },
 }
 
 impl SimUnit {
@@ -421,6 +429,48 @@ impl SimUnit {
         Self::single(&alone_arm(), bench, exp)
     }
 
+    /// Plans a single-core run of `bench` under `arm` for `instructions`
+    /// that records core 0's `PAR` at every multiple of `period` cycles
+    /// the run reaches, in [`Report::par_samples`]. Never memoized: the
+    /// samples make it a different result from the plain single run.
+    pub fn sampled(
+        arm: &PolicyArm,
+        bench: &BenchProfile,
+        instructions: u64,
+        period: Cycle,
+        exp: &ExpConfig,
+    ) -> Self {
+        SimUnit {
+            key: UnitKey {
+                arm: arm.label.to_string(),
+                variant: format!("par-every-{period}"),
+                benchmarks: vec![bench.name.clone()],
+                instructions,
+                seed: exp.seed,
+            },
+            work: UnitWork::Sampled {
+                arm: arm.clone(),
+                bench: bench.clone(),
+                period,
+            },
+        }
+    }
+
+    /// The exact configuration and benchmarks [`execute`](Self::execute)
+    /// runs.
+    fn inputs(&self) -> (SimConfig, Vec<BenchProfile>) {
+        let (arm, benches) = match &self.work {
+            UnitWork::Single { arm, bench } | UnitWork::Sampled { arm, bench, .. } => {
+                (arm, vec![bench.clone()])
+            }
+            UnitWork::Workload { arm, workload } => (arm, workload.benchmarks.clone()),
+        };
+        let mut cfg = arm.build(benches.len());
+        cfg.max_instructions = self.key.instructions;
+        cfg.seed = self.key.seed;
+        (cfg, benches)
+    }
+
     /// Runs the simulation this unit names. Deterministic: depends only on
     /// the key and the arm recipe.
     pub fn execute(&self) -> Report {
@@ -428,11 +478,13 @@ impl SimUnit {
             UnitWork::Single { arm, bench } => {
                 run_single_at(arm, bench, self.key.instructions, self.key.seed)
             }
-            UnitWork::Workload { arm, workload } => {
-                let mut cfg = arm.build(workload.cores());
-                cfg.max_instructions = self.key.instructions;
-                cfg.seed = self.key.seed;
-                System::new(cfg, workload.benchmarks.clone()).run()
+            UnitWork::Workload { .. } => {
+                let (cfg, benches) = self.inputs();
+                System::new(cfg, benches).run()
+            }
+            UnitWork::Sampled { period, .. } => {
+                let (cfg, benches) = self.inputs();
+                run_sampled(System::new(cfg, benches), *period)
             }
         }
     }
@@ -445,27 +497,19 @@ impl SimUnit {
     /// Labels and variants are deliberately excluded: two arms that build
     /// identical configs share one entry (the same sharing the single-run
     /// memo exploits). Knobs proven observationally equivalent (the
-    /// fast-forward mode) are also excluded — DESIGN.md §10 states the
+    /// fast-forward mode) are also excluded — DESIGN.md §12 states the
     /// soundness rule and when
     /// [`RESULT_SCHEMA_VERSION`](super::RESULT_SCHEMA_VERSION) must be
-    /// bumped instead.
+    /// bumped instead. A sampled unit appends its `"sample_period"`; no
+    /// other unit's meta carries that field.
     pub fn store_meta(&self) -> String {
-        let (cfg, benches) = match &self.work {
-            UnitWork::Single { arm, bench } => {
-                let mut cfg = arm.build(1);
-                cfg.max_instructions = self.key.instructions;
-                cfg.seed = self.key.seed;
-                (cfg, vec![bench.clone()])
-            }
-            UnitWork::Workload { arm, workload } => {
-                let mut cfg = arm.build(workload.cores());
-                cfg.max_instructions = self.key.instructions;
-                cfg.seed = self.key.seed;
-                (cfg, workload.benchmarks.clone())
-            }
+        let (cfg, benches) = self.inputs();
+        let sampling = match &self.work {
+            UnitWork::Sampled { period, .. } => format!(",\"sample_period\":{period}"),
+            _ => String::new(),
         };
         format!(
-            "{{\"fingerprint\":{},\"config\":{},\"benchmarks\":{}}}",
+            "{{\"fingerprint\":{},\"config\":{},\"benchmarks\":{}{sampling}}}",
             serde_json::to_string(&super::unit_cache::fingerprint()).expect("string serializes"),
             serde_json::to_string(&cfg).expect("config serializes"),
             serde_json::to_string(&benches).expect("profiles serialize"),
@@ -601,25 +645,18 @@ pub fn plan_alone_units(workloads: &[Workload], exp: &ExpConfig) -> Vec<SimUnit>
     units
 }
 
-/// How an experiment executes: the legacy monolithic closure, or the
-/// two-phase plan/reduce contract.
-pub enum ExpKind {
-    /// One opaque runner (non-grid experiments: fig2, fig4, cost, tab6).
-    Monolithic(fn(&ExpConfig) -> Vec<ExpTable>),
-    /// Plan independent simulation units, execute them on the shared
-    /// pool, reduce the results into tables after a per-experiment unit
-    /// barrier (so table bytes never depend on scheduling).
-    Planned(PlannedExperiment),
-}
-
 /// Plan phase: enumerates an experiment's independent simulation units.
 pub type PlanFn = Arc<dyn Fn(&ExpConfig) -> Vec<SimUnit> + Send + Sync>;
 
 /// Reduce phase: folds unit results (in plan order) into tables.
 pub type ReduceFn = Arc<dyn Fn(&ExpConfig, &[UnitResult]) -> Vec<ExpTable> + Send + Sync>;
 
-/// The two phases of a planned experiment.
-pub struct PlannedExperiment {
+/// How an experiment executes: plan independent simulation units, execute
+/// them on the shared pool, reduce the results into tables after a
+/// per-experiment unit barrier (so table bytes never depend on
+/// scheduling). Experiments that simulate nothing (fig2, cost, tab6) plan
+/// no units and compute their table in `reduce`.
+pub struct ExpKind {
     /// Enumerates the experiment's independent simulation units.
     pub plan: PlanFn,
     /// Folds unit results (in plan order) into tables.
@@ -627,33 +664,22 @@ pub struct PlannedExperiment {
 }
 
 impl ExpKind {
-    /// Builds a planned kind from the two phases.
+    /// Builds a kind from the two phases.
     pub fn planned(
         plan: impl Fn(&ExpConfig) -> Vec<SimUnit> + Send + Sync + 'static,
         reduce: impl Fn(&ExpConfig, &[UnitResult]) -> Vec<ExpTable> + Send + Sync + 'static,
     ) -> Self {
-        ExpKind::Planned(PlannedExperiment {
+        ExpKind {
             plan: Arc::new(plan),
             reduce: Arc::new(reduce),
-        })
-    }
-
-    /// Runs the experiment: plan → execute (per `mode`) → reduce, or the
-    /// monolithic closure.
-    pub fn tables(&self, exp: &ExpConfig, mode: ExecMode) -> Vec<ExpTable> {
-        match self {
-            ExpKind::Monolithic(run) => run(exp),
-            ExpKind::Planned(p) => {
-                let units = (p.plan)(exp);
-                let results = execute_units(&units, mode);
-                (p.reduce)(exp, &results)
-            }
         }
     }
 
-    /// Whether this experiment uses the plan/execute/reduce contract.
-    pub fn is_planned(&self) -> bool {
-        matches!(self, ExpKind::Planned(_))
+    /// Runs the experiment: plan → execute (per `mode`) → reduce.
+    pub fn tables(&self, exp: &ExpConfig, mode: ExecMode) -> Vec<ExpTable> {
+        let units = (self.plan)(exp);
+        let results = execute_units(&units, mode);
+        (self.reduce)(exp, &results)
     }
 }
 
@@ -711,6 +737,27 @@ fn run_single_at(arm: &PolicyArm, bench: &BenchProfile, instructions: u64, seed:
         System::new(cfg, vec![bench.clone()]).run()
     })
     .clone()
+}
+
+/// Runs `sys` to completion, recording core 0's `PAR` at every multiple
+/// of `period` cycles the run reaches — the same cycles, and the same
+/// values, as sampling after each cycle of a stepped loop, but with the
+/// configured fast-forward kernel between samples. The final `run` folds
+/// the whole simulation into the profile once, not once per sample.
+fn run_sampled(mut sys: System, period: Cycle) -> Report {
+    let mut samples = Vec::new();
+    let mut next = period;
+    loop {
+        sys.run_until(next);
+        if sys.now() < next {
+            break;
+        }
+        samples.push(sys.accuracy(0));
+        next += period;
+    }
+    let mut report = sys.run();
+    report.par_samples = samples;
+    report
 }
 
 /// Runs one benchmark alone on a single-core system under the arm's

@@ -1,14 +1,19 @@
 //! Micro-scale experiments: the Fig. 2 scheduling example and the Fig. 4
 //! service-time/phase-behaviour measurements.
+//!
+//! Fig. 2 simulates no system: it drives one controller through the
+//! paper's hand-traced three-request example, so its kind plans no units.
+//! Fig. 4 plans one sampled unit (`SimUnit::sampled`) that runs through
+//! the fast-forward kernel and the unit store like any grid cell.
 
 use padc_core::{AccuracyTracker, ControllerConfig, MemoryController, SchedulingPolicy};
 use padc_dram::{DramConfig, MappingScheme};
 use padc_types::{AccessKind, CoreId, Cycle, LineAddr, RequestKind};
 use padc_workloads::profiles;
 
-use crate::{SimConfig, System};
+use crate::{Report, SimConfig};
 
-use super::infra::{ExpConfig, ExpTable};
+use super::infra::{ExecMode, ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit};
 
 /// Fig. 2: the paper's three-request example. Two prefetches (X, Z) target
 /// the currently open row; one demand (Y) conflicts. Under demand-first the
@@ -101,35 +106,29 @@ pub fn fig2_scheduling_example(_exp: &ExpConfig) -> ExpTable {
     t
 }
 
-/// Fig. 4: (a) the service-time histogram of useful vs useless prefetches
-/// for milc under demand-first, and (b) milc's prefetch-accuracy phase
-/// behaviour sampled at every measurement interval.
-pub fn fig4_service_time_and_phases(exp: &ExpConfig) -> Vec<ExpTable> {
-    let mut cfg = SimConfig::single_core(SchedulingPolicy::DemandFirst);
+/// Fig. 4(b)'s sampling period: one `PAR` reading every 500K cycles.
+const FIG4_SAMPLE_PERIOD: Cycle = 500_000;
+
+/// Fig. 4's single unit: milc under demand-first, sampled for Fig. 4(b).
+fn fig4_unit(exp: &ExpConfig) -> SimUnit {
+    let arm = PolicyArm::new("demand-first", |n| {
+        let mut cfg = SimConfig::new(n, SchedulingPolicy::DemandFirst);
+        cfg.max_cycles = 100_000_000;
+        cfg
+    });
     // Long enough to cross a full phase cycle of the milc profile (1M
     // instructions), so the accuracy collapse AND recovery both show.
-    cfg.max_instructions = (exp.instructions_single * 2).max(1_600_000);
-    cfg.seed = exp.seed;
-    let mut sys = System::new(cfg, vec![profiles::milc()]);
+    let instructions = (exp.instructions_single * 2).max(1_600_000);
+    SimUnit::sampled(
+        &arm,
+        &profiles::milc(),
+        instructions,
+        FIG4_SAMPLE_PERIOD,
+        exp,
+    )
+}
 
-    let mut phases = ExpTable::new(
-        "fig4b",
-        "milc prefetch accuracy (PAR) over time (sampled every 500K cycles)",
-        &["accuracy"],
-    );
-    let mut next_sample = 500_000;
-    while !sys.finished() && sys.now() < 100_000_000 {
-        sys.step();
-        if sys.now() >= next_sample {
-            phases.push(
-                format!("{}K cycles", next_sample / 1000),
-                vec![sys.accuracy(0)],
-            );
-            next_sample += 500_000;
-        }
-    }
-    let report = sys.report();
-
+fn fig4_reduce(report: &Report) -> Vec<ExpTable> {
     let mut hist = ExpTable::new(
         "fig4a",
         "milc prefetch memory-service-time histogram (counts)",
@@ -155,7 +154,30 @@ pub fn fig4_service_time_and_phases(exp: &ExpConfig) -> Vec<ExpTable> {
             ],
         );
     }
+    let mut phases = ExpTable::new(
+        "fig4b",
+        "milc prefetch accuracy (PAR) over time (sampled every 500K cycles)",
+        &["accuracy"],
+    );
+    for (i, &par) in report.par_samples.iter().enumerate() {
+        let cycle = (i as Cycle + 1) * FIG4_SAMPLE_PERIOD;
+        phases.push(format!("{}K cycles", cycle / 1000), vec![par]);
+    }
     vec![hist, phases]
+}
+
+pub(crate) fn fig4_kind() -> ExpKind {
+    ExpKind::planned(
+        |exp| vec![fig4_unit(exp)],
+        |_, results| fig4_reduce(&results[0].report),
+    )
+}
+
+/// Fig. 4: (a) the service-time histogram of useful vs useless prefetches
+/// for milc under demand-first, and (b) milc's prefetch-accuracy phase
+/// behaviour sampled every 500K cycles.
+pub fn fig4_service_time_and_phases(exp: &ExpConfig) -> Vec<ExpTable> {
+    fig4_kind().tables(exp, ExecMode::Planned)
 }
 
 #[cfg(test)]

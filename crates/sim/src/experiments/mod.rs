@@ -11,8 +11,8 @@
 //! [`SimUnit`]s, the harness executes them (fanning out onto the shared
 //! worker pool in [`ExecMode::Planned`]), and `reduce` folds the unit
 //! results into tables after a per-experiment barrier — so result bytes
-//! never depend on scheduling. A few non-grid experiments (fig2, fig4,
-//! cost, tab6) keep the legacy monolithic path.
+//! never depend on scheduling. Experiments that simulate nothing (fig2,
+//! cost, tab6) plan no units and build their table in `reduce`.
 //!
 //! Absolute numbers will not match the paper (its substrate was a
 //! proprietary x86 simulator running SPEC traces; ours is a synthetic-trace
@@ -30,7 +30,7 @@ mod unit_cache;
 
 pub use infra::{
     execute_units, plan_alone_units, single_run_stats, ExecMode, ExpConfig, ExpKind, ExpTable,
-    PlannedExperiment, PolicyArm, Scale, SimUnit, UnitKey, UnitResult, UnitResults,
+    PolicyArm, Scale, SimUnit, UnitKey, UnitResult, UnitResults,
 };
 pub use mechanisms::{
     ext_batching, ext_dspatch, ext_refresh, ext_timing, ext_write_drain, fig28_prefetchers,

@@ -8,11 +8,11 @@
 //! these items, so existing `padc_bench::{registry, find}` callers are
 //! unaffected.
 //!
-//! Since the plan/execute/reduce redesign an entry carries an [`ExpKind`]
-//! instead of a monolithic runner: grid experiments expose their plan of
-//! independent [`SimUnit`](super::SimUnit)s, which the suite jobs fan out
-//! onto the shared harness pool, while the few non-grid experiments
-//! (fig2, fig4, cost, tab6) keep the monolithic path.
+//! Every entry carries an [`ExpKind`]: its plan of independent
+//! [`SimUnit`](super::SimUnit)s, which the suite jobs fan out onto the
+//! shared harness pool, and the reduce that folds their reports into
+//! tables. Entries that simulate nothing (fig2, cost, tab6) plan no
+//! units.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -28,7 +28,7 @@ pub struct Experiment {
     pub id: &'static str,
     /// What the paper calls it.
     pub paper_ref: &'static str,
-    /// The execution contract: planned (plan/execute/reduce) or monolithic.
+    /// The plan/execute/reduce contract.
     pub kind: ExpKind,
 }
 
@@ -39,20 +39,11 @@ impl Experiment {
     }
 
     /// Runs the experiment in an explicit execution mode. Both modes
-    /// produce identical tables; `Monolithic` is the inline compatibility
+    /// produce identical tables; `Monolithic` runs the units inline, the
     /// path the determinism gate byte-diffs against.
     pub fn tables_with(&self, cfg: &ExpConfig, mode: ExecMode) -> Vec<ExpTable> {
         self.kind.tables(cfg, mode)
     }
-}
-
-macro_rules! single_table {
-    ($f:path) => {{
-        fn runner(c: &ExpConfig) -> Vec<ExpTable> {
-            vec![$f(c)]
-        }
-        ExpKind::Monolithic(runner)
-    }};
 }
 
 /// The full experiment registry, in paper order.
@@ -66,12 +57,12 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "fig2",
             paper_ref: "Figure 2 (scheduling example timelines)",
-            kind: single_table!(exp::fig2_scheduling_example),
+            kind: ExpKind::planned(|_| Vec::new(), |c, _| vec![exp::fig2_scheduling_example(c)]),
         },
         Experiment {
             id: "fig4",
             paper_ref: "Figure 4 (service-time histogram; accuracy phases)",
-            kind: ExpKind::Monolithic(exp::fig4_service_time_and_phases),
+            kind: exp::micro::fig4_kind(),
         },
         Experiment {
             id: "fig6",
@@ -246,12 +237,12 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "cost",
             paper_ref: "Tables 1-2 (hardware cost)",
-            kind: single_table!(exp::tab1_2_cost),
+            kind: ExpKind::planned(|_| Vec::new(), |c, _| vec![exp::tab1_2_cost(c)]),
         },
         Experiment {
             id: "tab6",
             paper_ref: "Table 6 (drop thresholds)",
-            kind: single_table!(exp::tab6_thresholds),
+            kind: ExpKind::planned(|_| Vec::new(), |c, _| vec![exp::tab6_thresholds(c)]),
         },
     ]
 }
@@ -320,8 +311,7 @@ pub fn suite_jobs_profiled(
 /// load-balances across all units of all experiments; the experiment's
 /// `reduce` runs after its own unit barrier, so payload bytes never
 /// depend on scheduling. `Monolithic` mode runs every unit inline in plan
-/// order — the compatibility path for non-grid experiments and for the
-/// determinism gate's planned-vs-monolithic byte-diff.
+/// order — the determinism gate's planned-vs-monolithic byte-diff.
 ///
 /// When `opts.profile` is set, every job installs a fresh
 /// [`ProfileAccum`](crate::profile::ProfileAccum) as the harness task
@@ -411,19 +401,16 @@ mod tests {
     }
 
     #[test]
-    fn grid_experiments_are_planned_and_pure_ones_are_not() {
+    fn pure_experiments_plan_no_units_and_fig4_plans_one() {
+        let cfg = ExpConfig::at(Scale::Smoke);
+        let plan_len = |id: &str| (find(id).unwrap().kind.plan)(&cfg).len();
         for id in ["fig1", "fig6", "fig9", "fig16", "fig23", "fig28", "tab8"] {
-            assert!(
-                find(id).unwrap().kind.is_planned(),
-                "{id} should be planned"
-            );
+            assert!(plan_len(id) > 1, "{id} should plan a grid of units");
         }
-        for id in ["fig2", "fig4", "cost", "tab6"] {
-            assert!(
-                !find(id).unwrap().kind.is_planned(),
-                "{id} should be monolithic"
-            );
+        for id in ["fig2", "cost", "tab6"] {
+            assert_eq!(plan_len(id), 0, "{id} simulates nothing");
         }
+        assert_eq!(plan_len("fig4"), 1, "fig4 is one sampled unit");
     }
 
     #[test]
@@ -468,23 +455,45 @@ mod tests {
 
     #[test]
     fn profiled_jobs_append_a_profile_object() {
+        // A seed no other test uses, so serve-mode coalescing (process-wide,
+        // switched on by the serve tests) can never hand fig4 a settled
+        // unit that skips the run.
         let jobs = suite_jobs_profiled(
-            vec![find("fig1").unwrap()],
-            ExpConfig::at(Scale::Smoke),
+            vec![find("fig1").unwrap(), find("fig4").unwrap()],
+            ExpConfig::at(Scale::Smoke).with_seed(0xF164),
             None,
             true,
         );
-        let payload = (jobs[0].run)();
-        assert!(payload.starts_with("{\"paper_ref\":"));
-        let parsed = serde_json::parse(&payload).expect("payload is valid JSON");
-        let profile = parsed.get("profile").expect("profile object appended");
-        let runs = profile
-            .get("runs")
-            .and_then(|r| r.as_f64())
-            .expect("runs counter");
-        assert!(runs > 0.0, "no simulation runs folded into the profile");
-        for key in ["cycles_stepped", "ff_jumps", "ff_cycles_skipped", "wall_ns"] {
-            assert!(profile.get(key).is_some(), "profile misses {key}");
+        let field = |p: &serde_json::Value, key: &str| {
+            p.get(key)
+                .and_then(|v| v.as_f64())
+                .unwrap_or_else(|| panic!("profile misses {key}"))
+        };
+        for job in &jobs {
+            let payload = (job.run)();
+            assert!(payload.starts_with("{\"paper_ref\":"));
+            let parsed = serde_json::parse(&payload).expect("payload is valid JSON");
+            let profile = parsed.get("profile").expect("profile object appended");
+            assert!(
+                field(profile, "runs") > 0.0,
+                "no runs folded into {}",
+                job.id
+            );
+            for key in ["cycles_stepped", "ff_jumps", "ff_cycles_skipped", "wall_ns"] {
+                field(profile, key);
+            }
+            if job.id == "fig4" {
+                // One sampled run folds in once, not once per sample, and
+                // brings every cycle up to its last sample with it.
+                assert_eq!(field(profile, "runs"), 1.0);
+                let samples = parsed.get("tables").and_then(|t| t.as_array()).unwrap()[1]
+                    .get("rows")
+                    .and_then(|r| r.as_array())
+                    .unwrap()
+                    .len();
+                let cycles = field(profile, "cycles_stepped") + field(profile, "ff_cycles_skipped");
+                assert!(samples > 0 && cycles >= samples as f64 * 500_000.0);
+            }
         }
     }
 }

@@ -417,10 +417,7 @@ mod tests {
     #[test]
     fn grid_plans_one_unit_per_cell() {
         let exp = smoke();
-        let units = match fig6_kind() {
-            ExpKind::Planned(p) => (p.plan)(&exp),
-            ExpKind::Monolithic(_) => panic!("fig6 is planned"),
-        };
+        let units = (fig6_kind().plan)(&exp);
         assert_eq!(units.len(), profiles::all().len() * standard_arms().len());
         // Every unit is single-core at the single-core budget.
         assert!(units

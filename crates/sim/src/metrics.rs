@@ -153,6 +153,11 @@ pub struct Report {
     pub pf_service_hist_useful: [u64; 9],
     /// Service-time histogram of useless prefetches.
     pub pf_service_hist_useless: [u64; 9],
+    /// Core 0's `PAR` sampled at fixed cycle boundaries (Fig. 4(b)); empty
+    /// unless a sampled run recorded it. Omitted from the JSON when empty,
+    /// so unsampled reports serialize exactly as before this field existed.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub par_samples: Vec<f64>,
 }
 
 impl Report {

@@ -1074,11 +1074,17 @@ impl System {
     /// skipped ticks would have made — which is what keeps fast-forwarded
     /// runs bit-identical to cycle-by-cycle stepping (DESIGN.md §11).
     pub fn try_fast_forward(&mut self) -> u64 {
+        self.global_jump(self.cfg.max_cycles)
+    }
+
+    /// [`System::try_fast_forward`] with the jump capped at `limit`
+    /// (`<= max_cycles`) instead of `max_cycles`.
+    fn global_jump(&mut self, limit: Cycle) -> u64 {
         let now = self.now;
         // Once the last core hits its instruction target the run is over at
         // exactly this cycle; jumping further would inflate `total_cycles`
         // relative to a cycle-by-cycle run, which stops here too.
-        if now >= self.cfg.max_cycles || self.finished() {
+        if now >= limit || self.finished() {
             return 0;
         }
         // PAR rollovers re-derive drop thresholds, criticality, urgency and
@@ -1097,7 +1103,7 @@ impl System {
         if let Some(ev) = self.mem.controller.next_event(now, &self.mem.tracker) {
             target = target.min(ev);
         }
-        target = target.min(self.cfg.max_cycles);
+        target = target.min(limit);
         if target <= now {
             return 0;
         }
@@ -1116,7 +1122,7 @@ impl System {
 
     /// Attempts one global jump in horizon or event mode: fires only when
     /// *every* core lags past `now`, bounded by the earliest due tick, the
-    /// controller's next event, the PAR rollover, and `max_cycles`. The
+    /// controller's next event, the PAR rollover, and `limit`. The
     /// cores' deferred replays are *not* applied here — their lag windows
     /// simply span the jump and are replayed at their next resync, which
     /// is what lets the skipped span be counted per-core exactly once.
@@ -1127,9 +1133,10 @@ impl System {
         &mut self,
         hz: &horizon::HorizonState,
         ev: Option<&mut event::EventState>,
+        limit: Cycle,
     ) -> u64 {
         let now = self.now;
-        if now >= self.cfg.max_cycles || self.finished() || !hz.all_lagging(now) {
+        if now >= limit || self.finished() || !hz.all_lagging(now) {
             return 0;
         }
         let mut target = self.mem.tracker.next_rollover().min(hz.min_due());
@@ -1144,7 +1151,7 @@ impl System {
                 }
             }
         }
-        target = target.min(self.cfg.max_cycles);
+        target = target.min(limit);
         if target <= now {
             return 0;
         }
@@ -1198,27 +1205,37 @@ impl System {
         self.mem.tracker.next_rollover()
     }
 
-    /// Runs to completion (every core reaches `max_instructions`, or the
-    /// `max_cycles` safety cap triggers) and reports.
-    pub fn run(&mut self) -> Report {
+    /// Runs the configured [`FastForwardMode`] loop until `now >= limit`,
+    /// every core has finished, or `max_cycles` is reached. Jumps are
+    /// capped at `limit` exactly as they are capped at `max_cycles`, so an
+    /// unfinished system stops at precisely `limit` — the cycle a
+    /// cycle-stepped loop stops at — with the same live state
+    /// ([`System::accuracy`] included). Chunked calls followed by
+    /// [`System::run`] produce the same report as a single `run`
+    /// (`crates/sim/tests/fastforward.rs`).
+    ///
+    /// Unlike `run`, this neither harvests the end-of-run profile
+    /// counters nor folds the run into an ambient profile accumulator.
+    pub fn run_until(&mut self, limit: Cycle) {
+        let limit = limit.min(self.cfg.max_cycles);
         let start = std::time::Instant::now();
         match self.ff_mode {
             FastForwardMode::Off => {
-                while !self.finished() && self.now < self.cfg.max_cycles {
+                while !self.finished() && self.now < limit {
                     self.step();
                 }
             }
             FastForwardMode::Global => {
-                while !self.finished() && self.now < self.cfg.max_cycles {
+                while !self.finished() && self.now < limit {
                     self.step();
-                    self.try_fast_forward();
+                    self.global_jump(limit);
                 }
             }
             FastForwardMode::Horizon => {
                 let mut hz = horizon::HorizonState::new(self.cfg.cores, self.now);
-                while !self.finished() && self.now < self.cfg.max_cycles {
+                while !self.finished() && self.now < limit {
                     self.step_inner(Some(&mut hz), None);
-                    self.try_horizon_jump(&hz, None);
+                    self.try_horizon_jump(&hz, None, limit);
                 }
                 // Live (non-snapshotted) core stats must match a
                 // cycle-exact run that stopped at the same cycle.
@@ -1228,14 +1245,20 @@ impl System {
                 let mut hz = horizon::HorizonState::new(self.cfg.cores, self.now);
                 let mut ev =
                     event::EventState::new(self.now, &mut self.mem.controller, &self.mem.tracker);
-                while !self.finished() && self.now < self.cfg.max_cycles {
+                while !self.finished() && self.now < limit {
                     self.step_inner(Some(&mut hz), Some(&mut ev));
-                    self.try_horizon_jump(&hz, Some(&mut ev));
+                    self.try_horizon_jump(&hz, Some(&mut ev), limit);
                 }
                 hz.flush(self.now, &mut self.cores, &mut self.profile);
             }
         }
         self.profile.wall_ns += start.elapsed().as_nanos() as u64;
+    }
+
+    /// Runs to completion (every core reaches `max_instructions`, or the
+    /// `max_cycles` safety cap triggers) and reports.
+    pub fn run(&mut self) -> Report {
+        self.run_until(self.cfg.max_cycles);
         let bs = self.mem.controller.buffer_stats();
         self.profile.owner_recomputes = bs.owner_recomputes;
         self.profile.owner_invalidations = bs.owner_invalidations;
@@ -1303,6 +1326,7 @@ impl System {
                 .collect(),
             pf_service_hist_useful: self.mem.hist_useful,
             pf_service_hist_useless: hist_useless,
+            par_samples: Vec::new(),
         }
     }
 }

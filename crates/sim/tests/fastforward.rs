@@ -83,6 +83,40 @@ fn run_mode(
     (json, *sys.profile(), sys.now())
 }
 
+/// Core 0's `PAR` observed at each chunk bound: `(now, accuracy)`.
+type ParTrace = Vec<(u64, f64)>;
+
+/// Runs one configuration in `chunk`-cycle slices, reading core 0's `PAR`
+/// at every bound, then finishes with `run`. With `mode == None` each
+/// slice is stepped cycle by cycle (the `Off` reference); otherwise each
+/// slice is one `run_until` call in that mode.
+fn run_chunked(
+    cfg: &SimConfig,
+    cores: usize,
+    first_bench: usize,
+    mode: Option<FastForwardMode>,
+    chunk: u64,
+) -> (String, ParTrace) {
+    let mut sys = System::new(cfg.clone(), workloads(cores, first_bench));
+    sys.set_fast_forward_mode(mode.unwrap_or(FastForwardMode::Off));
+    let mut trace = Vec::new();
+    let mut bound = chunk;
+    while !sys.finished() {
+        match mode {
+            Some(_) => sys.run_until(bound),
+            None => {
+                while !sys.finished() && sys.now() < bound {
+                    sys.step();
+                }
+            }
+        }
+        trace.push((sys.now(), sys.accuracy(0)));
+        bound += chunk;
+    }
+    let json = serde_json::to_string(&sys.run()).expect("serialize");
+    (json, trace)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -91,13 +125,17 @@ proptest! {
     /// cycle-accounting invariants hold in each:
     /// `core_cycles_ticked + core_cycles_skipped == cores × total_cycles`
     /// and `ctrl_cycles_stepped + ctrl_cycles_skipped == total_cycles`.
+    /// Slicing a run with `run_until` at arbitrary `chunk` bounds is
+    /// invisible too: every mode stops at the same cycles with the same
+    /// `PAR` as a cycle-stepped run, and finishes with the same report.
     #[test]
     fn reports_are_byte_identical(seed in 1u64..1_000,
                                   cores in 1usize..4,
                                   policy_idx in 0usize..5,
                                   first_bench in 0usize..3,
                                   refresh_idx in 0usize..4,
-                                  instructions in 2_000u64..10_000) {
+                                  instructions in 2_000u64..10_000,
+                                  chunk in 500u64..60_000) {
         let cfg = refresh_config(
             small_config(seed, cores, policy_idx, instructions),
             refresh_idx,
@@ -153,6 +191,17 @@ proptest! {
                      "event mode stepped the controller more than horizon");
         prop_assert_eq!(ev_p.ctrl_events_fired, ev_p.ctrl_cycles_stepped);
         prop_assert_eq!(hor_p.ctrl_events_fired, 0);
+
+        let (stepped_json, stepped_trace) =
+            run_chunked(&cfg, cores, first_bench, None, chunk);
+        prop_assert_eq!(&off_json, &stepped_json, "stepping then run diverged");
+        for mode in [FastForwardMode::Off, FastForwardMode::Global,
+                     FastForwardMode::Horizon, FastForwardMode::Event] {
+            let (json, trace) = run_chunked(&cfg, cores, first_bench, Some(mode), chunk);
+            prop_assert_eq!(&off_json, &json, "chunked {:?} run diverged", mode);
+            prop_assert_eq!(&stepped_trace, &trace,
+                            "chunked {:?} run sampled a different PAR", mode);
+        }
     }
 }
 

@@ -2,7 +2,9 @@
 //! (DESIGN.md §12): cold, warm, and no-store suite runs must produce
 //! byte-identical JSONL; a warm run must execute zero simulation units;
 //! and poisoned entries (truncation, fingerprint drift, garbage) must be
-//! recomputed — never trusted — while the store self-heals.
+//! recomputed — never trusted — while the store self-heals. fig4, whose
+//! one unit samples `PAR` as it runs, resolves through the store the same
+//! way, and its float samples survive the round trip bit for bit.
 //!
 //! The store slot and the in-memory claim map are process-wide, so the
 //! whole scenario lives in **one** `#[test]`, phased in order.
@@ -15,14 +17,20 @@ use std::path::{Path, PathBuf};
 
 use padc_harness::{run_suite, HarnessConfig, Summary};
 use padc_sim::experiments::{self, ExpConfig, Scale};
-use padc_store::Store;
+use padc_sim::Report;
+use padc_store::{digest_hex, Store};
 
 const SUBSET: [&str; 2] = ["fig6", "tab5"];
 
 /// Runs the smoke-scale subset through the suite, returning the JSONL
 /// bytes and the summary.
 fn run_subset() -> (String, Summary) {
-    let selected: Vec<_> = SUBSET
+    run_ids(&SUBSET)
+}
+
+/// Runs the smoke-scale experiments `ids` through the suite.
+fn run_ids(ids: &[&str]) -> (String, Summary) {
+    let selected: Vec<_> = ids
         .iter()
         .map(|id| experiments::find(id).expect("known id"))
         .collect();
@@ -35,7 +43,7 @@ fn run_subset() -> (String, Summary) {
     let mut jsonl = Vec::new();
     let mut progress = std::io::sink();
     let summary = run_suite(&jobs, &cfg, Some(&mut jsonl), &mut progress).expect("suite runs");
-    assert_eq!(summary.failed(), 0, "subset must succeed");
+    assert_eq!(summary.failed(), 0, "{ids:?} must succeed");
     (String::from_utf8(jsonl).expect("JSONL is UTF-8"), summary)
 }
 
@@ -159,5 +167,73 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     let (plain, _) = run_subset();
     assert_eq!(plain, baseline, "no-store run changed the artifact");
 
+    fig4_resolves_as_one_stored_unit(&dir.join("fig4"));
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Bit patterns of a sample vector (float `==` would equate `0.0` and
+/// `-0.0`).
+fn bits(samples: &[f64]) -> Vec<u64> {
+    samples.iter().map(|x| x.to_bits()).collect()
+}
+
+/// fig4 is one sampled unit: a cold run misses once, a warm run hits once
+/// and executes nothing, a truncated entry is recomputed, and the stored
+/// `par_samples` parse back to the exact floats the run recorded.
+fn fig4_resolves_as_one_stored_unit(dir: &Path) {
+    let _ = fs::remove_dir_all(dir);
+    experiments::install_unit_store(dir).expect("store opens");
+    experiments::reset_memory_cells();
+    let before = experiments::unit_cache_stats();
+    let (cold, _) = run_ids(&["fig4"]);
+    let after_cold = experiments::unit_cache_stats();
+    assert_eq!(after_cold.store_misses - before.store_misses, 1);
+    assert_eq!(after_cold.store_hits - before.store_hits, 0);
+    let entries = entry_files(dir);
+    assert_eq!(entries.len(), 1, "fig4 stores exactly one entry");
+
+    experiments::reset_memory_cells();
+    let (warm, warm_summary) = run_ids(&["fig4"]);
+    assert_eq!(warm, cold, "warm fig4 changed the artifact");
+    let after_warm = experiments::unit_cache_stats();
+    assert_eq!(after_warm.store_hits - after_cold.store_hits, 1);
+    assert_eq!(after_warm.store_misses - after_cold.store_misses, 0);
+    assert_eq!(warm_summary.subjobs_executed, 0);
+
+    // The stored payload parses back to the run's exact samples.
+    let unit = (experiments::find("fig4").expect("fig4").kind.plan)(&ExpConfig::at(Scale::Smoke))
+        .remove(0);
+    let meta = unit.store_meta();
+    assert!(meta.ends_with(",\"sample_period\":500000}"), "{meta}");
+    let payload = Store::open(dir)
+        .expect("store reopens")
+        .load(&digest_hex(meta.as_bytes()), &meta)
+        .expect("fig4 entry validates");
+    let stored: Report = serde_json::from_str(&payload).expect("payload parses");
+    let fresh = unit.execute();
+    assert!(fresh.par_samples.len() > 1, "fig4 recorded no samples");
+    assert_eq!(bits(&stored.par_samples), bits(&fresh.par_samples));
+    assert_eq!(stored, fresh);
+    // Integral floats print without a fraction (`1.0` as `1`) and still
+    // parse back as the same `f64`.
+    let mut edge = fresh.clone();
+    edge.par_samples = vec![1.0, 0.0, 0.5, 1e-7];
+    let json = serde_json::to_string(&edge).expect("serialize");
+    assert!(json.contains("\"par_samples\":[1,0,0.5,"), "{json}");
+    let back: Report = serde_json::from_str(&json).expect("parse");
+    assert_eq!(bits(&back.par_samples), bits(&edge.par_samples));
+
+    // A truncated entry is a miss: recomputed, rewritten, never served.
+    let bytes = fs::read(&entries[0]).expect("entry readable");
+    fs::write(&entries[0], &bytes[..bytes.len() / 2]).expect("truncate entry");
+    experiments::reset_memory_cells();
+    let (healed, _) = run_ids(&["fig4"]);
+    assert_eq!(healed, cold, "truncated fig4 entry leaked into results");
+    let after_heal = experiments::unit_cache_stats();
+    assert_eq!(after_heal.store_misses - after_warm.store_misses, 1);
+    assert_eq!(after_heal.store_hits - after_warm.store_hits, 0);
+    assert_eq!(fs::read(&entries[0]).expect("entry rewritten"), bytes);
+
+    experiments::uninstall_unit_store();
+    experiments::reset_memory_cells();
 }

@@ -37,20 +37,24 @@ fn main() {
 
     let mut cfg = SimConfig::single_core(SchedulingPolicy::Padc);
     cfg.max_instructions = 600_000;
+    cfg.max_cycles = 50_000_000;
     let mut sys = System::new(cfg, vec![custom]);
 
+    // `run_until` fast-forwards to each sampling boundary and stops exactly
+    // there (or earlier, once the run has finished).
     println!("time(K cycles)  measured-accuracy (PAR)");
     let mut next = 100_000;
-    while !sys.finished() && sys.now() < 50_000_000 {
-        sys.step();
-        if sys.now() >= next {
-            let par = sys.accuracy(0);
-            let bar = "#".repeat((par * 40.0) as usize);
-            println!("{:>10}      {par:5.2} {bar}", next / 1000);
-            next += 100_000;
+    loop {
+        sys.run_until(next);
+        if sys.now() < next {
+            break;
         }
+        let par = sys.accuracy(0);
+        let bar = "#".repeat((par * 40.0) as usize);
+        println!("{:>10}      {par:5.2} {bar}", next / 1000);
+        next += 100_000;
     }
-    let r = sys.report();
+    let r = sys.run();
     let c = &r.per_core[0];
     println!(
         "\nlifetime accuracy={:.0}%  sent={} dropped-by-APD={}",

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: shellcheck, formatting, lints, release build, docs, the
-# full test suite, and the EXPERIMENTS.md drift check. Everything runs
+# root test suite, the simulator's integration suites, and the
+# EXPERIMENTS.md drift check. Everything runs
 # offline (external deps are vendored; see vendor/README.md). Each step
 # prints its elapsed seconds, and the same per-step timings land in the
 # workflow step summary ($GITHUB_STEP_SUMMARY) via gate_summary.sh.
@@ -39,6 +40,10 @@ step "cargo clippy --workspace --all-targets -- -D warnings" \
 step "cargo build --release --workspace" cargo build --release --workspace
 step "cargo doc --no-deps (warnings denied)" doc_step
 step "cargo test -q" cargo test -q
+# The simulator's integration suites: the four-mode bit-identity matrix,
+# the next_event and request-buffer oracles, resume, serve and store.
+step "cargo test --release -p padc-core -p padc-sim --test '*'" \
+    cargo test --release -q -p padc-core -p padc-sim --test '*'
 step "cargo test --doc" cargo test --doc -q
 step "EXPERIMENTS.md drift check" \
     python3 scripts/make_experiments_md.py --check repro_full.jsonl
