@@ -2,10 +2,10 @@
 //! evaluation, in parallel, with per-experiment fault isolation.
 //!
 //! ```text
-//! repro [--quick|--smoke] [--jobs N] [--jsonl PATH] [--resume FILE]
-//!       [--summary PATH] [--store DIR] [--json|--csv|--bars COL]
-//!       [--no-progress] [--profile] [--exec planned|monolithic]
-//!       [--fast-forward off|global|horizon|event] [<experiment-id>...]
+//! repro [--quick|--smoke] [--jobs N] [--jsonl PATH] [--summary PATH]
+//!       [--store DIR] [--json|--csv|--bars COL] [--no-progress]
+//!       [--profile] [--exec planned|monolithic]
+//!       [--fast-forward off|horizon|event] [<experiment-id>...]
 //! repro --list
 //! ```
 //!
@@ -32,26 +32,23 @@
 //! JSON — or, with `--profile`, into a per-experiment `"profile"` object
 //! appended to each JSONL payload (hot-path counters and phase wall
 //! times; wall times make profiled artifacts non-deterministic, so the
-//! determinism gates run without it). `--fast-forward off|global|horizon|event`
+//! determinism gates run without it). `--fast-forward off|horizon|event`
 //! selects how stall cycles are elided (default `horizon`, the per-core
-//! event horizon; results are bit-identical in every mode — the flag
-//! exists for the equivalence gate and for timing comparisons);
-//! `--no-fast-forward` is shorthand for `--fast-forward off`.
+//! event horizon; `off` steps every cycle and is the reference oracle;
+//! results are bit-identical in every mode — the flag exists for the
+//! equivalence gate and for timing comparisons).
 //!
-//! `--resume FILE` makes the run incremental: settled rows (complete JSON,
-//! `"status":"ok"`) of the prior artifact are re-emitted verbatim without
-//! executing their experiments; missing, truncated, or failed rows are
-//! re-run. With no explicit `--jsonl`, the regenerated artifact replaces
-//! FILE. On a fully settled artifact, zero experiments execute and the
-//! output is byte-identical to the input.
-//!
-//! `--store DIR` (or the `PADC_STORE` environment variable) makes runs
-//! incremental at **unit** granularity, across invocations and across
-//! overlapping experiment selections: every planned simulation unit
-//! resolves against a persistent content-addressed store before it is
-//! scheduled, and computed misses are written back atomically. A warm
-//! rerun executes zero simulation units and produces byte-identical JSONL
-//! (see DESIGN.md §12). The stderr line `store: hits=H misses=M
+//! `--store DIR` (or the `PADC_STORE` environment variable) is the one way
+//! to make a rerun incremental. It works at **unit** granularity, across
+//! invocations and across overlapping experiment selections: every planned
+//! simulation unit resolves against a persistent content-addressed store
+//! before it is scheduled, and computed misses are written back
+//! atomically. A unit's key covers the scale, the full simulator
+//! configuration and the workload profiles, so a rerun after an
+//! interrupted run recomputes only what is missing, and a run at another
+//! scale never reuses a stored result. A warm rerun executes zero
+//! simulation units and produces byte-identical JSONL (see DESIGN.md
+//! §12). The stderr line `store: hits=H misses=M
 //! coalesced=C` and matching `--summary` fields report the telemetry.
 //!
 //! Exit status: `0` when every experiment succeeds, `1` when any job
@@ -62,15 +59,15 @@ use std::io::Write as _;
 use std::time::Duration;
 
 use padc_bench::{find, registry, suite_jobs_with, table_stash, Experiment, SuiteOptions};
-use padc_harness::{run_suite, HarnessConfig, JobStatus, ResumeArtifact};
+use padc_harness::{run_suite, HarnessConfig, JobStatus};
 use padc_sim::experiments::{single_run_stats, ExecMode, ExpConfig, Scale};
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage: repro [--quick|--smoke] [--jobs N] [--jsonl PATH] [--resume FILE]\n\
-         \x20            [--summary PATH] [--store DIR] [--json|--csv|--bars COL]\n\
-         \x20            [--no-progress] [--profile] [--exec planned|monolithic]\n\
-         \x20            [--fast-forward off|global|horizon|event] [<id>...]\n\
+        "usage: repro [--quick|--smoke] [--jobs N] [--jsonl PATH] [--summary PATH]\n\
+         \x20            [--store DIR] [--json|--csv|--bars COL] [--no-progress]\n\
+         \x20            [--profile] [--exec planned|monolithic]\n\
+         \x20            [--fast-forward off|horizon|event] [<id>...]\n\
          \x20      repro --list\n\
          known ids:"
     );
@@ -97,7 +94,6 @@ fn main() {
     let mut bars: Option<String> = None;
     let mut jobs_flag: usize = 0;
     let mut jsonl_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
     let mut summary_path: Option<String> = None;
     let mut budget: Option<Duration> = None;
     let mut progress = true;
@@ -121,7 +117,6 @@ fn main() {
                 });
             }
             "--jsonl" => jsonl_path = Some(flag_value(&mut iter, "--jsonl")),
-            "--resume" => resume_path = Some(flag_value(&mut iter, "--resume")),
             "--summary" => summary_path = Some(flag_value(&mut iter, "--summary")),
             "--store" => store_flag = Some(flag_value(&mut iter, "--store")),
             "--budget-seconds" => {
@@ -149,7 +144,6 @@ fn main() {
                 });
                 padc_sim::set_fast_forward_mode_default(mode);
             }
-            "--no-fast-forward" => padc_sim::set_fast_forward_default(false),
             other if other.starts_with("--fast-forward=") => {
                 let mode = other["--fast-forward=".len()..]
                     .parse()
@@ -193,42 +187,6 @@ fn main() {
     let order: Vec<&'static str> = selected.iter().map(|e| e.id).collect();
     let refs: Vec<&'static str> = selected.iter().map(|e| e.paper_ref).collect();
 
-    // Resume: trust settled rows of the prior artifact, re-run the rest.
-    // With no explicit --jsonl the regenerated artifact replaces the
-    // resumed file (safe: the file is fully read before the suite starts,
-    // and a crash mid-run leaves a valid shorter artifact to resume from).
-    let artifact = resume_path.as_deref().map(|path| {
-        if !ids.is_empty() && jsonl_path.as_deref().is_none_or(|out| out == path) {
-            eprintln!(
-                "--resume with an experiment subset would overwrite {path} with partial \
-                 results; pass a different --jsonl destination"
-            );
-            std::process::exit(2);
-        }
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let artifact = ResumeArtifact::parse(&text);
-                eprintln!(
-                    "resume: {} settled row(s) in {path}, {} line(s) distrusted",
-                    artifact.len(),
-                    artifact.lines_rejected
-                );
-                artifact
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                eprintln!("resume: {path} not found, running everything");
-                ResumeArtifact::default()
-            }
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
-    if jsonl_path.is_none() {
-        jsonl_path = resume_path.clone();
-    }
-
     if profile {
         padc_sim::profile::set_timing_enabled(true);
     }
@@ -241,19 +199,12 @@ fn main() {
         });
     }
     let stash = table_stash();
-    let mut jobs = suite_jobs_with(
+    let jobs = suite_jobs_with(
         selected,
         cfg,
         Some(stash.clone()),
         SuiteOptions { profile, exec },
     );
-    if let Some(artifact) = &artifact {
-        for job in &mut jobs {
-            if let Some(row) = artifact.row(&job.id) {
-                job.cached_row = Some(row.to_string());
-            }
-        }
-    }
     let harness_cfg = HarnessConfig {
         workers: jobs_flag,
         budget,
@@ -329,13 +280,6 @@ fn main() {
                         }
                     }
                 }
-                None if outcome.status == JobStatus::Skipped => {
-                    writeln!(
-                        stdout,
-                        "  resumed: settled row reused from the prior artifact"
-                    )
-                    .expect("stdout");
-                }
                 None => {
                     writeln!(
                         stdout,
@@ -359,10 +303,9 @@ fn main() {
     let failed = summary.failed();
     writeln!(
         stderr,
-        "suite: {}/{} ok, {} resumed, {} failed, {} workers, {:.1}s wall",
+        "suite: {}/{} ok, {} failed, {} workers, {:.1}s wall",
         summary.ok(),
         summary.outcomes.len(),
-        summary.skipped(),
         failed,
         summary.workers,
         summary.wall_seconds

@@ -23,16 +23,14 @@
 //!   and rows contain no timing data, so `--jobs 1` and `--jobs 8` produce
 //!   byte-identical JSONL. Timings go to the stderr progress line and the
 //!   summary instead.
-//! - **Resume**: a job carrying a settled row from a prior artifact
-//!   ([`JobSpec::cached_row`], parsed by [`ResumeArtifact`]) is skipped —
-//!   its original bytes are re-emitted verbatim in place, which keeps a
-//!   resumed run byte-identical to a from-scratch one.
 //! - **Accounting**: per-job wall-clock is measured; jobs exceeding an
 //!   optional budget are recorded as structured failures (they are not
 //!   killed — Rust threads cannot be — but the suite reports them).
 //!
-//! The JSONL writer *and* the resume validator are hand-rolled (string
-//! escaping and all) so the engine has zero dependencies.
+//! The JSONL writer is hand-rolled (string escaping and all) so the engine
+//! has zero dependencies. Incremental reruns are not this crate's concern:
+//! the simulator's content-addressed unit store (`--store`) makes a rerun
+//! skip every simulation whose inputs it has already seen.
 //!
 //! # JSONL schema
 //!
@@ -44,14 +42,10 @@
 //! {"id":"slow","status":"over_budget","budget_seconds":60,"result":<payload>}
 //! ```
 //!
-//! `result` is the job's payload verbatim (already-serialized JSON). A
-//! resumed row keeps whatever status its original run recorded (always
-//! `ok` — only `ok` rows are trusted); the skip is visible in the summary,
-//! never in the artifact.
+//! `result` is the job's payload verbatim (already-serialized JSON).
 
 #![warn(missing_docs)]
 
-mod resume;
 pub mod service;
 pub mod subjob;
 
@@ -61,7 +55,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-pub use resume::ResumeArtifact;
 pub use service::{BatchHandle, CompletedJob, ServiceConfig, SuiteService};
 pub use subjob::{set_task_context, subjob_map, task_context, under_harness, with_task_context};
 
@@ -76,10 +69,6 @@ pub struct JobSpec {
     /// Executes the job, returning its result as compact JSON. Must be
     /// deterministic for the suite's output to be deterministic.
     pub run: Box<dyn Fn() -> String + Send + Sync>,
-    /// Settled JSONL row (no trailing newline) from a prior artifact. When
-    /// set, the scheduler skips `run` entirely and emits these bytes
-    /// verbatim — the `--resume` path.
-    pub cached_row: Option<String>,
 }
 
 impl JobSpec {
@@ -93,15 +82,7 @@ impl JobSpec {
             id: id.into(),
             description: description.into(),
             run: Box::new(run),
-            cached_row: None,
         }
-    }
-
-    /// Attaches a settled row from a prior artifact; the scheduler will
-    /// skip execution and re-emit it verbatim.
-    pub fn with_cached_row(mut self, row: impl Into<String>) -> Self {
-        self.cached_row = Some(row.into());
-        self
     }
 }
 
@@ -156,10 +137,6 @@ pub enum JobStatus {
     Panicked,
     /// Completed but exceeded the configured wall-clock budget.
     OverBudget,
-    /// Not executed: a settled row from a prior artifact was re-emitted
-    /// verbatim (`--resume`). Never appears in JSONL rows — the cached
-    /// bytes keep their original status.
-    Skipped,
 }
 
 impl JobStatus {
@@ -169,7 +146,6 @@ impl JobStatus {
             JobStatus::Ok => "ok",
             JobStatus::Panicked => "panicked",
             JobStatus::OverBudget => "over_budget",
-            JobStatus::Skipped => "skipped",
         }
     }
 }
@@ -219,15 +195,6 @@ impl Summary {
             .count()
     }
 
-    /// Jobs skipped because a settled row was resumed from a prior
-    /// artifact.
-    pub fn skipped(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.status == JobStatus::Skipped)
-            .count()
-    }
-
     /// Jobs recorded as failures (panicked or over budget).
     pub fn failed(&self) -> usize {
         self.outcomes
@@ -242,7 +209,6 @@ impl Summary {
         out.push_str("{\n");
         out.push_str(&format!("  \"total\": {},\n", self.outcomes.len()));
         out.push_str(&format!("  \"ok\": {},\n", self.ok()));
-        out.push_str(&format!("  \"skipped\": {},\n", self.skipped()));
         out.push_str(&format!("  \"failed\": {},\n", self.failed()));
         out.push_str(&format!("  \"workers\": {},\n", self.workers));
         out.push_str(&format!("  \"wall_seconds\": {:.3},\n", self.wall_seconds));
@@ -361,13 +327,9 @@ struct Completed {
 /// a job waiting on its fan-out helps execute). The worker count is
 /// therefore a true global thread bound.
 ///
-/// Jobs carrying a [`JobSpec::cached_row`] are not executed at all: the
-/// settled row is re-emitted verbatim at its in-order position and the
-/// outcome is reported as [`JobStatus::Skipped`].
-///
-/// The JSONL bytes depend only on the jobs' ids and payloads (or cached
-/// rows) — not on the worker count or completion order — so runs with
-/// different `--jobs` values are byte-identical.
+/// The JSONL bytes depend only on the jobs' ids and payloads — not on the
+/// worker count or completion order — so runs with different `--jobs`
+/// values are byte-identical.
 ///
 /// # Errors
 ///
@@ -437,16 +399,7 @@ pub fn run_suite(
                             }
                             break;
                         }
-                        let job = &jobs[i];
-                        let completed = match &job.cached_row {
-                            Some(row) => Completed {
-                                status: JobStatus::Skipped,
-                                row: format!("{row}\n"),
-                                error: None,
-                                seconds: 0.0,
-                            },
-                            None => execute_job(job, budget),
-                        };
+                        let completed = execute_job(&jobs[i], budget);
                         if jobs_done.fetch_add(1, Ordering::Relaxed) + 1 == total {
                             pool.close();
                         }
@@ -696,40 +649,6 @@ mod tests {
         assert_eq!(cfg.effective_workers(3), 8);
         assert_eq!(cfg.effective_workers(0), 8);
         assert!(quiet(0).effective_workers(64) >= 1);
-    }
-
-    #[test]
-    fn cached_rows_skip_execution_and_are_emitted_verbatim() {
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let jobs: Vec<JobSpec> = vec![
-            JobSpec::new("a", "t", {
-                let c = counter.clone();
-                move || {
-                    c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    "1".to_string()
-                }
-            })
-            .with_cached_row("{\"id\":\"a\",\"status\":\"ok\",\"result\":99}"),
-            JobSpec::new("b", "t", {
-                let c = counter.clone();
-                move || {
-                    c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    "2".to_string()
-                }
-            }),
-        ];
-        let (jsonl, summary) = collect_jsonl(&jobs, &quiet(2));
-        assert_eq!(
-            jsonl,
-            "{\"id\":\"a\",\"status\":\"ok\",\"result\":99}\n\
-             {\"id\":\"b\",\"status\":\"ok\",\"result\":2}\n"
-        );
-        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert_eq!(summary.skipped(), 1);
-        assert_eq!(summary.ok(), 1);
-        assert_eq!(summary.failed(), 0);
-        assert_eq!(summary.outcomes[0].status, JobStatus::Skipped);
-        assert_eq!(summary.outcomes[0].seconds, 0.0);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct ServiceConfig {
 pub struct CompletedJob {
     /// Job id.
     pub id: String,
-    /// Terminal status ([`JobStatus::Skipped`] for cached rows).
+    /// Terminal status.
     pub status: JobStatus,
     /// The JSONL row, trailing newline included.
     pub row: String,
@@ -153,9 +153,6 @@ impl SuiteService {
     }
 
     /// Enqueues a batch of jobs; any idle worker may run any of them.
-    /// Jobs carrying a [`JobSpec::cached_row`] are not executed — the row
-    /// is re-emitted verbatim as [`JobStatus::Skipped`], exactly like
-    /// `run_suite`'s resume path.
     pub fn submit(&self, jobs: Vec<JobSpec>) -> BatchHandle {
         let total = jobs.len();
         let (tx, rx) = mpsc::channel();
@@ -240,24 +237,13 @@ fn worker_loop(core: &Arc<ServiceCore>) {
         };
         match next {
             Next::Job(job) => {
-                let completed = match &job.spec.cached_row {
-                    Some(row) => CompletedJob {
-                        id: job.spec.id.clone(),
-                        status: JobStatus::Skipped,
-                        row: format!("{row}\n"),
-                        error: None,
-                        seconds: 0.0,
-                    },
-                    None => {
-                        let c = execute_job(&job.spec, job.budget);
-                        CompletedJob {
-                            id: job.spec.id.clone(),
-                            status: c.status,
-                            row: c.row,
-                            error: c.error,
-                            seconds: c.seconds,
-                        }
-                    }
+                let c = execute_job(&job.spec, job.budget);
+                let completed = CompletedJob {
+                    id: job.spec.id.clone(),
+                    status: c.status,
+                    row: c.row,
+                    error: c.error,
+                    seconds: c.seconds,
                 };
                 // A dropped receiver just means the client went away; the
                 // remaining jobs of its batch still drain normally.
@@ -401,22 +387,6 @@ mod tests {
         }
         assert_eq!(service.subjobs_executed(), 2 * 3 * 6);
         assert!(service.subjobs_peak_concurrent() <= 2);
-    }
-
-    #[test]
-    fn cached_rows_skip_execution() {
-        let service = svc(1);
-        let jobs = vec![JobSpec::new("a", "t", || panic!("must not run"))
-            .with_cached_row("{\"id\":\"a\",\"status\":\"ok\",\"result\":7}")];
-        let completions = service
-            .submit(jobs)
-            .collect_ordered(|_, _| Ok(()))
-            .expect("batch completes");
-        assert_eq!(completions[0].status, JobStatus::Skipped);
-        assert_eq!(
-            completions[0].row,
-            "{\"id\":\"a\",\"status\":\"ok\",\"result\":7}\n"
-        );
     }
 
     #[test]

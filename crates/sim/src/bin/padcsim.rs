@@ -93,7 +93,6 @@ fn parse_args() -> Result<Args, String> {
             "--json" => args.json = true,
             "--profile" => args.profile = true,
             "--fast-forward" => args.fast_forward = Some(parse_ff_mode(&value("--fast-forward")?)?),
-            "--no-fast-forward" => args.fast_forward = Some(FastForwardMode::Off),
             "--refresh-policy" => {
                 args.refresh_policy = Some(parse_refresh_policy(&value("--refresh-policy")?)?)
             }
@@ -111,7 +110,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: padcsim [--config FILE.json] [--cores N] [--policy P] \
                      [--instructions N] [--no-prefetch] [--json] [--profile] \
-                     [--fast-forward off|global|horizon|event] [--no-fast-forward] \
+                     [--fast-forward off|horizon|event] \
                      [--refresh-policy all-bank|per-bank|darp] [--extended-timing] \
                      (--bench NAME ... | --trace FILE ...) | --print-config | --list-benchmarks"
                 );
@@ -137,7 +136,6 @@ fn run_suite_mode(args: &[String]) -> ! {
     let mut cfg = ExpConfig::at(Scale::Full);
     let mut workers = 0usize;
     let mut jsonl_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
     let mut summary_path: Option<String> = None;
     let mut profile = false;
     let mut exec = ExecMode::default();
@@ -164,7 +162,6 @@ fn run_suite_mode(args: &[String]) -> ! {
                     .unwrap_or_else(|_| die(format!("--jobs expects an integer, got {v:?}")));
             }
             "--jsonl" => jsonl_path = Some(value("--jsonl")),
-            "--resume" => resume_path = Some(value("--resume")),
             "--summary" => summary_path = Some(value("--summary")),
             "--store" => store_flag = Some(value("--store")),
             "--profile" => profile = true,
@@ -177,7 +174,6 @@ fn run_suite_mode(args: &[String]) -> ! {
                 let mode = v.parse().unwrap_or_else(|e| die(e));
                 padc_sim::set_fast_forward_mode_default(mode);
             }
-            "--no-fast-forward" => padc_sim::set_fast_forward_default(false),
             other if other.starts_with("--fast-forward=") => {
                 let mode = other["--fast-forward=".len()..]
                     .parse()
@@ -193,9 +189,8 @@ fn run_suite_mode(args: &[String]) -> ! {
             "--help" | "-h" => {
                 println!(
                     "usage: padcsim --suite [--quick|--smoke] [--jobs N] [--jsonl PATH] \
-                     [--resume FILE] [--summary PATH] [--store DIR] [--profile] \
-                     [--exec planned|monolithic] \
-                     [--fast-forward off|global|horizon|event] [--no-fast-forward] \
+                     [--summary PATH] [--store DIR] [--profile] \
+                     [--exec planned|monolithic] [--fast-forward off|horizon|event] \
                      [--list] [<experiment-id>...]"
                 );
                 std::process::exit(0);
@@ -217,37 +212,6 @@ fn run_suite_mode(args: &[String]) -> ! {
             })
             .collect()
     };
-    // Resume: trust settled rows of the prior artifact, re-run the rest
-    // (same semantics as `repro --resume`). With no explicit --jsonl the
-    // regenerated artifact replaces the resumed file.
-    let artifact = resume_path.as_deref().map(|path| {
-        if !ids.is_empty() && jsonl_path.as_deref().is_none_or(|out| out == path) {
-            die(format!(
-                "--resume with an experiment subset would overwrite {path} with partial \
-                 results; pass a different --jsonl destination"
-            ));
-        }
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let artifact = padc_harness::ResumeArtifact::parse(&text);
-                eprintln!(
-                    "resume: {} settled row(s) in {path}, {} line(s) distrusted",
-                    artifact.len(),
-                    artifact.lines_rejected
-                );
-                artifact
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                eprintln!("resume: {path} not found, running everything");
-                padc_harness::ResumeArtifact::default()
-            }
-            Err(e) => die(format!("cannot read {path}: {e}")),
-        }
-    });
-    if jsonl_path.is_none() {
-        jsonl_path = resume_path.clone();
-    }
-
     if profile {
         padc_sim::profile::set_timing_enabled(true);
     }
@@ -255,14 +219,7 @@ fn run_suite_mode(args: &[String]) -> ! {
         padc_sim::experiments::install_unit_store(std::path::Path::new(&dir))
             .unwrap_or_else(|e| die(format!("cannot open store {dir}: {e}")));
     }
-    let mut jobs = suite_jobs_with(selected, cfg, None, SuiteOptions { profile, exec });
-    if let Some(artifact) = &artifact {
-        for job in &mut jobs {
-            if let Some(row) = artifact.row(&job.id) {
-                job.cached_row = Some(row.to_string());
-            }
-        }
-    }
+    let jobs = suite_jobs_with(selected, cfg, None, SuiteOptions { profile, exec });
     let harness_cfg = padc_harness::HarnessConfig {
         workers,
         budget: None,
@@ -309,10 +266,9 @@ fn run_suite_mode(args: &[String]) -> ! {
             .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
     }
     eprintln!(
-        "suite: {}/{} ok, {} resumed, {} failed, {} workers, {:.1}s wall",
+        "suite: {}/{} ok, {} failed, {} workers, {:.1}s wall",
         summary.ok(),
         summary.outcomes.len(),
-        summary.skipped(),
         summary.failed(),
         summary.workers,
         summary.wall_seconds
@@ -370,7 +326,6 @@ fn run_serve_mode(args: &[String]) -> ! {
                 let mode = v.parse().unwrap_or_else(|e| die(e));
                 padc_sim::set_fast_forward_mode_default(mode);
             }
-            "--no-fast-forward" => padc_sim::set_fast_forward_default(false),
             other if other.starts_with("--fast-forward=") => {
                 let mode = other["--fast-forward=".len()..]
                     .parse()
@@ -381,7 +336,7 @@ fn run_serve_mode(args: &[String]) -> ! {
                 println!(
                     "usage: padcsim serve [--stdio | --socket PATH] [--jobs N] \
                      [--quick|--smoke] [--store DIR] \
-                     [--fast-forward off|global|horizon|event] [--no-fast-forward]\n\
+                     [--fast-forward off|horizon|event]\n\
                      requests: one JSON object per line, e.g. \
                      {{\"id\":\"r1\",\"experiments\":[\"fig6\"],\"scale\":\"smoke\"}}"
                 );

@@ -183,20 +183,6 @@ impl SimConfig {
         self.with_mem_policy(p)
     }
 
-    /// Pre-[`MemPolicyConfig`] knob: sets the row policy in place through
-    /// the scattered field path.
-    #[deprecated(note = "use SimConfig::with_row_policy / with_mem_policy")]
-    pub fn set_row_policy(&mut self, policy: RowPolicy) {
-        self.dram.row_policy = policy;
-    }
-
-    /// Pre-[`MemPolicyConfig`] knob: toggles the extended timing set in
-    /// place through the scattered field path.
-    #[deprecated(note = "use SimConfig::with_extended_timing / with_mem_policy")]
-    pub fn set_extended_timing(&mut self, timing: Option<ExtendedTiming>) {
-        self.dram.extended = timing;
-    }
-
     /// MSHR entries available to each private L2 (total split evenly), or
     /// the whole pool for a shared L2.
     pub fn mshr_per_cache(&self) -> usize {
@@ -308,17 +294,5 @@ mod tests {
             .with_extended_timing(custom)
             .with_refresh_policy(padc_dram::RefreshPolicy::PerBank);
         assert_eq!(c.dram.extended, Some(custom), "builder must not clobber");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_knob_shims_match_the_builders() {
-        let mut old = SimConfig::new(4, SchedulingPolicy::Padc);
-        old.set_row_policy(RowPolicy::Closed);
-        old.set_extended_timing(Some(ExtendedTiming::default()));
-        let new = SimConfig::new(4, SchedulingPolicy::Padc)
-            .with_row_policy(RowPolicy::Closed)
-            .with_extended_timing(ExtendedTiming::default());
-        assert_eq!(old, new);
     }
 }

@@ -16,8 +16,8 @@ use padc_workloads::{random_workloads, Workload};
 use crate::SimConfig;
 
 use super::infra::{
-    plan_alone_units, ExecMode, ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit, UnitKey,
-    UnitResult, UnitResults,
+    plan_alone_units, ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit, UnitKey, UnitResult,
+    UnitResults,
 };
 
 /// Builds one mechanism arm: base policy, prefetching on/off, and a
@@ -190,12 +190,6 @@ fn fig28_reduce(exp: &ExpConfig, results: &[UnitResult]) -> Vec<ExpTable> {
         .collect()
 }
 
-/// Fig. 28: PADC under the stride, C/DC, and Markov prefetchers (plus the
-/// stream default), 4-core averages.
-pub fn fig28_prefetchers(exp: &ExpConfig) -> Vec<ExpTable> {
-    fig28_kind().tables(exp, ExecMode::Planned)
-}
-
 pub(crate) fn fig28_kind() -> ExpKind {
     ExpKind::planned(fig28_plan, fig28_reduce)
 }
@@ -225,12 +219,6 @@ fn fig29_arms() -> Vec<PolicyArm> {
         mech_arm("aps-fdp", SchedulingPolicy::ApsOnly, true, fdp),
         mech_arm("aps-apd (PADC)", SchedulingPolicy::Padc, true, none),
     ]
-}
-
-/// Fig. 29: DDPF and FDP combined with demand-first scheduling and with
-/// APS; APD for comparison.
-pub fn fig29_ddpf_fdp_demand_first(exp: &ExpConfig) -> ExpTable {
-    fig29_kind().tables(exp, ExecMode::Planned).remove(0)
 }
 
 pub(crate) fn fig29_kind() -> ExpKind {
@@ -274,11 +262,6 @@ fn fig30_arms() -> Vec<PolicyArm> {
     ]
 }
 
-/// Fig. 30: DDPF and FDP combined with demand-prefetch-equal scheduling.
-pub fn fig30_ddpf_fdp_equal(exp: &ExpConfig) -> ExpTable {
-    fig30_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn fig30_kind() -> ExpKind {
     arm_set_kind(
         "fig30",
@@ -308,11 +291,6 @@ fn fig31_arms() -> Vec<PolicyArm> {
     ]
 }
 
-/// Fig. 31: permutation-based page interleaving with and without PADC.
-pub fn fig31_permutation(exp: &ExpConfig) -> ExpTable {
-    fig31_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn fig31_kind() -> ExpKind {
     arm_set_kind(
         "fig31",
@@ -337,11 +315,6 @@ fn fig32_arms() -> Vec<PolicyArm> {
     ]
 }
 
-/// Fig. 32: runahead execution with and without PADC.
-pub fn fig32_runahead(exp: &ExpConfig) -> ExpTable {
-    fig32_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn fig32_kind() -> ExpKind {
     arm_set_kind("fig32", "Runahead execution, 4-core", fig32_arms)
 }
@@ -358,12 +331,6 @@ fn ext_batch_arms() -> Vec<PolicyArm> {
         mech_arm("PADC-batch", SchedulingPolicy::Padc, true, batch),
         mech_arm("PADC-rank-batch", SchedulingPolicy::PadcRank, true, batch),
     ]
-}
-
-/// Extension (beyond the paper): PAR-BS-style request batching layered on
-/// PADC, compared against plain PADC and PADC-rank on the 4-core system.
-pub fn ext_batching(exp: &ExpConfig) -> ExpTable {
-    ext_batch_kind().tables(exp, ExecMode::Planned).remove(0)
 }
 
 pub(crate) fn ext_batch_kind() -> ExpKind {
@@ -387,12 +354,6 @@ fn ext_timing_arms() -> Vec<PolicyArm> {
         mech_arm("PADC", SchedulingPolicy::Padc, true, none),
         mech_arm("PADC-ext", SchedulingPolicy::Padc, true, ext),
     ]
-}
-
-/// Extension (beyond the paper): the full DDR3 constraint set
-/// (tRAS/tWR/tRTP/tFAW/refresh) versus the paper's three-latency model.
-pub fn ext_timing(exp: &ExpConfig) -> ExpTable {
-    ext_timing_kind().tables(exp, ExecMode::Planned).remove(0)
 }
 
 pub(crate) fn ext_timing_kind() -> ExpKind {
@@ -419,12 +380,6 @@ fn ext_wdrain_arms() -> Vec<PolicyArm> {
         mech_arm("PADC", SchedulingPolicy::Padc, true, none),
         mech_arm("PADC-wdrain", SchedulingPolicy::Padc, true, wd),
     ]
-}
-
-/// Extension (beyond the paper): watermark-based write-drain scheduling
-/// versus the paper's writebacks-as-demands treatment.
-pub fn ext_write_drain(exp: &ExpConfig) -> ExpTable {
-    ext_wdrain_kind().tables(exp, ExecMode::Planned).remove(0)
 }
 
 pub(crate) fn ext_wdrain_kind() -> ExpKind {
@@ -492,13 +447,6 @@ fn ext_dspatch_reduce(exp: &ExpConfig, results: &[UnitResult]) -> Vec<ExpTable> 
         .collect()
 }
 
-/// Extension (beyond the paper): PADC under the DSPatch dual-pattern
-/// spatial prefetcher versus the paper's stream prefetcher, 4-core
-/// averages (one table per prefetcher set).
-pub fn ext_dspatch(exp: &ExpConfig) -> Vec<ExpTable> {
-    ext_dspatch_kind().tables(exp, ExecMode::Planned)
-}
-
 pub(crate) fn ext_dspatch_kind() -> ExpKind {
     ExpKind::planned(ext_dspatch_plan, ext_dspatch_reduce)
 }
@@ -564,13 +512,6 @@ fn ext_refresh_reduce(exp: &ExpConfig, results: &[UnitResult]) -> Vec<ExpTable> 
             )
         })
         .collect()
-}
-
-/// Extension (beyond the paper): demand-first and PADC under all-bank,
-/// per-bank, and DARP refresh organizations, 4-core averages (one table
-/// per refresh policy).
-pub fn ext_refresh(exp: &ExpConfig) -> Vec<ExpTable> {
-    ext_refresh_kind().tables(exp, ExecMode::Planned)
 }
 
 pub(crate) fn ext_refresh_kind() -> ExpKind {

@@ -13,7 +13,7 @@ use padc_workloads::profiles;
 
 use crate::{Report, SimConfig};
 
-use super::infra::{ExecMode, ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit};
+use super::infra::{ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit};
 
 /// Fig. 2: the paper's three-request example. Two prefetches (X, Z) target
 /// the currently open row; one demand (Y) conflicts. Under demand-first the
@@ -171,13 +171,6 @@ pub(crate) fn fig4_kind() -> ExpKind {
         |exp| vec![fig4_unit(exp)],
         |_, results| fig4_reduce(&results[0].report),
     )
-}
-
-/// Fig. 4: (a) the service-time histogram of useful vs useless prefetches
-/// for milc under demand-first, and (b) milc's prefetch-accuracy phase
-/// behaviour sampled every 500K cycles.
-pub fn fig4_service_time_and_phases(exp: &ExpConfig) -> Vec<ExpTable> {
-    fig4_kind().tables(exp, ExecMode::Planned)
 }
 
 #[cfg(test)]

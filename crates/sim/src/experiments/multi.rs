@@ -15,8 +15,8 @@ use padc_workloads::{random_workloads, Workload};
 use crate::{metrics, SimConfig};
 
 use super::infra::{
-    average_outcomes, plan_alone_units, standard_arms, ExecMode, ExpConfig, ExpKind, ExpTable,
-    PolicyArm, SimUnit, UnitKey, UnitResult, UnitResults, WorkloadOutcome,
+    average_outcomes, plan_alone_units, standard_arms, ExpConfig, ExpKind, ExpTable, PolicyArm,
+    SimUnit, UnitKey, UnitResult, UnitResults, WorkloadOutcome,
 };
 
 /// The paper's three 4-core case studies (§6.3.1–6.3.3).
@@ -112,12 +112,6 @@ fn case_reduce(case: CaseStudy, exp: &ExpConfig, results: &[UnitResult]) -> Vec<
     vec![speedups, system, traffic]
 }
 
-/// Runs one case study: returns (individual speedups, system metrics,
-/// per-application traffic breakdown) — the paper's paired figures (10–15).
-pub fn case_study(case: CaseStudy, exp: &ExpConfig) -> Vec<ExpTable> {
-    case_kind(case).tables(exp, ExecMode::Planned)
-}
-
 /// Plan/reduce kind for one case study.
 pub(crate) fn case_kind(case: CaseStudy) -> ExpKind {
     ExpKind::planned(
@@ -179,12 +173,6 @@ impl AggSpec {
             move |exp, results| vec![self.reduce(exp, results)],
         )
     }
-
-    fn table(self, exp: &ExpConfig) -> ExpTable {
-        let units = self.plan(exp);
-        let results = super::infra::execute_units(&units, ExecMode::Planned);
-        self.reduce(exp, &results)
-    }
 }
 
 fn fig9_spec() -> AggSpec {
@@ -195,11 +183,6 @@ fn fig9_spec() -> AggSpec {
         count: |e| e.workloads_2core,
         arms: standard_arms,
     }
-}
-
-/// Fig. 9: 2-core averages over the workload set.
-pub fn fig9_2core(exp: &ExpConfig) -> ExpTable {
-    fig9_spec().table(exp)
 }
 
 pub(crate) fn fig9_kind() -> ExpKind {
@@ -216,11 +199,6 @@ fn fig16_spec() -> AggSpec {
     }
 }
 
-/// Fig. 16: 4-core averages.
-pub fn fig16_4core(exp: &ExpConfig) -> ExpTable {
-    fig16_spec().table(exp)
-}
-
 pub(crate) fn fig16_kind() -> ExpKind {
     fig16_spec().kind()
 }
@@ -233,11 +211,6 @@ fn fig17_spec() -> AggSpec {
         count: |e| e.workloads_8core,
         arms: standard_arms,
     }
-}
-
-/// Fig. 17: 8-core averages.
-pub fn fig17_8core(exp: &ExpConfig) -> ExpTable {
-    fig17_spec().table(exp)
 }
 
 pub(crate) fn fig17_kind() -> ExpKind {
@@ -266,11 +239,6 @@ fn fig19_spec() -> AggSpec {
     }
 }
 
-/// Fig. 19: PADC with shortest-job-first ranking, 4-core.
-pub fn fig19_ranking_4core(exp: &ExpConfig) -> ExpTable {
-    fig19_spec().table(exp)
-}
-
 pub(crate) fn fig19_kind() -> ExpKind {
     fig19_spec().kind()
 }
@@ -283,11 +251,6 @@ fn fig20_spec() -> AggSpec {
         count: |e| e.workloads_8core,
         arms: ranking_arms,
     }
-}
-
-/// Fig. 20: PADC with ranking, 8-core.
-pub fn fig20_ranking_8core(exp: &ExpConfig) -> ExpTable {
-    fig20_spec().table(exp)
 }
 
 pub(crate) fn fig20_kind() -> ExpKind {
@@ -311,11 +274,6 @@ fn fig21_spec() -> AggSpec {
     }
 }
 
-/// Fig. 21: dual memory controllers, 4-core.
-pub fn fig21_dual_controller_4core(exp: &ExpConfig) -> ExpTable {
-    fig21_spec().table(exp)
-}
-
 pub(crate) fn fig21_kind() -> ExpKind {
     fig21_spec().kind()
 }
@@ -328,11 +286,6 @@ fn fig22_spec() -> AggSpec {
         count: |e| e.workloads_8core,
         arms: dual_controller_arms,
     }
-}
-
-/// Fig. 22: dual memory controllers, 8-core.
-pub fn fig22_dual_controller_8core(exp: &ExpConfig) -> ExpTable {
-    fig22_spec().table(exp)
 }
 
 pub(crate) fn fig22_kind() -> ExpKind {
@@ -356,11 +309,6 @@ fn fig26_spec() -> AggSpec {
     }
 }
 
-/// Fig. 26: shared last-level cache, 4-core.
-pub fn fig26_shared_l2_4core(exp: &ExpConfig) -> ExpTable {
-    fig26_spec().table(exp)
-}
-
 pub(crate) fn fig26_kind() -> ExpKind {
     fig26_spec().kind()
 }
@@ -373,11 +321,6 @@ fn fig27_spec() -> AggSpec {
         count: |e| e.workloads_8core,
         arms: shared_l2_arms,
     }
-}
-
-/// Fig. 27: shared last-level cache, 8-core.
-pub fn fig27_shared_l2_8core(exp: &ExpConfig) -> ExpTable {
-    fig27_spec().table(exp)
 }
 
 pub(crate) fn fig27_kind() -> ExpKind {
@@ -440,13 +383,6 @@ fn tab8_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
     t
 }
 
-/// Table 8: effect of urgent-request prioritization on the mixed case
-/// study — individual speedups, UF, WS, HS for APS/PADC with and without
-/// urgency.
-pub fn tab8_urgency(exp: &ExpConfig) -> ExpTable {
-    tab8_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn tab8_kind() -> ExpKind {
     ExpKind::planned(tab8_plan, |exp, results| vec![tab8_reduce(exp, results)])
 }
@@ -486,22 +422,12 @@ fn identical_kind(id: &'static str, title: &'static str, bench: &'static str) ->
     )
 }
 
-/// Table 9: four copies of libquantum on the 4-core system.
-pub fn tab9_identical_libquantum(exp: &ExpConfig) -> ExpTable {
-    tab9_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn tab9_kind() -> ExpKind {
     identical_kind(
         "tab9",
         "Four identical prefetch-friendly applications (libquantum x4)",
         "libquantum_06",
     )
-}
-
-/// Table 10: four copies of milc on the 4-core system.
-pub fn tab10_identical_milc(exp: &ExpConfig) -> ExpTable {
-    tab10_kind().tables(exp, ExecMode::Planned).remove(0)
 }
 
 pub(crate) fn tab10_kind() -> ExpKind {
@@ -515,11 +441,13 @@ pub(crate) fn tab10_kind() -> ExpKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ExecMode;
     use crate::experiments::Scale;
 
     #[test]
     fn case_study_produces_three_tables() {
-        let tables = case_study(CaseStudy::Mixed, &ExpConfig::at(Scale::Smoke));
+        let tables =
+            case_kind(CaseStudy::Mixed).tables(&ExpConfig::at(Scale::Smoke), ExecMode::Planned);
         assert_eq!(tables.len(), 3);
         assert_eq!(tables[0].rows.len(), 5);
         assert!(tables[1].get("aps-apd (PADC)", "WS").unwrap() > 0.0);
@@ -527,7 +455,9 @@ mod tests {
 
     #[test]
     fn identical_apps_have_similar_speedups_under_padc() {
-        let t = tab9_identical_libquantum(&ExpConfig::at(Scale::Smoke));
+        let t = tab9_kind()
+            .tables(&ExpConfig::at(Scale::Smoke), ExecMode::Planned)
+            .remove(0);
         let padc: Vec<f64> = (0..4)
             .map(|i| t.get("aps-apd (PADC)", &format!("IS{i}")).unwrap())
             .collect();
@@ -538,7 +468,9 @@ mod tests {
 
     #[test]
     fn two_core_aggregate_runs_at_smoke_scale() {
-        let t = fig9_2core(&ExpConfig::at(Scale::Smoke));
+        let t = fig9_kind()
+            .tables(&ExpConfig::at(Scale::Smoke), ExecMode::Planned)
+            .remove(0);
         assert_eq!(t.rows.len(), 5);
         assert!(t.get("demand-first", "WS").unwrap() > 0.0);
     }

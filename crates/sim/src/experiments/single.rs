@@ -12,7 +12,7 @@ use crate::metrics::gmean;
 use crate::Report;
 
 use super::infra::{
-    standard_arms, ExecMode, ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit, UnitKey, UnitResult,
+    standard_arms, ExpConfig, ExpKind, ExpTable, PolicyArm, SimUnit, UnitKey, UnitResult,
     UnitResults,
 };
 
@@ -117,12 +117,6 @@ fn fig1_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
     t
 }
 
-/// Fig. 1: IPC of the stream prefetcher under demand-first and
-/// demand-prefetch-equal, normalized to no prefetching, for ten benchmarks.
-pub fn fig1_motivation(exp: &ExpConfig) -> ExpTable {
-    fig1_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn fig1_kind() -> ExpKind {
     ExpKind::planned(
         // no-pref, demand-first, equal
@@ -160,12 +154,6 @@ fn fig6_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
     }
     t.push("gmean55", norms.iter().map(|v| gmean(v)).collect());
     t
-}
-
-/// Fig. 6: single-core IPC for all five arms, normalized to demand-first,
-/// for 15 benchmarks plus the gmean over the whole 55-benchmark suite.
-pub fn fig6_single_core_ipc(exp: &ExpConfig) -> ExpTable {
-    fig6_kind().tables(exp, ExecMode::Planned).remove(0)
 }
 
 pub(crate) fn fig6_kind() -> ExpKind {
@@ -211,12 +199,6 @@ fn fig7_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
     t
 }
 
-/// Fig. 7: stall-time per load (SPL) for the 15 shown benchmarks plus the
-/// arithmetic mean over all 55.
-pub fn fig7_spl(exp: &ExpConfig) -> ExpTable {
-    fig7_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn fig7_kind() -> ExpKind {
     ExpKind::planned(
         |exp| grid_plan(&profiles::all(), &standard_arms(), exp),
@@ -257,13 +239,6 @@ fn fig8_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
     t
 }
 
-/// Fig. 8: bus traffic split into demand / useful-prefetch / useless-
-/// prefetch lines, per arm, summed over all 55 benchmarks (the paper's
-/// `amean55` bars, scaled by the benchmark count).
-pub fn fig8_traffic(exp: &ExpConfig) -> ExpTable {
-    fig8_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn fig8_kind() -> ExpKind {
     ExpKind::planned(
         |exp| grid_plan(&profiles::all(), &standard_arms(), exp),
@@ -302,12 +277,6 @@ fn tab5_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
         );
     }
     t
-}
-
-/// Table 5: benchmark characteristics with and without the stream
-/// prefetcher (IPC, MPKI, RBH, ACC, COV, class) under demand-first.
-pub fn tab5_characteristics(exp: &ExpConfig) -> ExpTable {
-    tab5_kind().tables(exp, ExecMode::Planned).remove(0)
 }
 
 pub(crate) fn tab5_kind() -> ExpKind {
@@ -368,12 +337,6 @@ fn tab7_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
     t
 }
 
-/// Table 7: row-buffer hit rate for useful requests (RBHU) under each arm,
-/// for the paper's 13 benchmarks plus the mean over the suite.
-pub fn tab7_rbhu(exp: &ExpConfig) -> ExpTable {
-    tab7_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn tab7_kind() -> ExpKind {
     ExpKind::planned(
         |exp| grid_plan(&profiles::all(), &standard_arms(), exp),
@@ -384,6 +347,7 @@ pub(crate) fn tab7_kind() -> ExpKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ExecMode;
     use crate::experiments::Scale;
 
     fn smoke() -> ExpConfig {
@@ -392,14 +356,14 @@ mod tests {
 
     #[test]
     fn fig1_produces_ten_rows() {
-        let t = fig1_motivation(&smoke());
+        let t = fig1_kind().tables(&smoke(), ExecMode::Planned).remove(0);
         assert_eq!(t.rows.len(), 10);
         assert!(t.get("libquantum_06", "demand-first").unwrap() > 0.0);
     }
 
     #[test]
     fn fig6_has_gmean_row() {
-        let t = fig6_single_core_ipc(&smoke());
+        let t = fig6_kind().tables(&smoke(), ExecMode::Planned).remove(0);
         assert_eq!(t.rows.len(), 16);
         assert!((t.get("gmean55", "demand-first").unwrap() - 1.0).abs() < 1e-9);
         // Prefetching must help on average even at smoke scale.
@@ -408,7 +372,7 @@ mod tests {
 
     #[test]
     fn tab5_reports_every_benchmark() {
-        let t = tab5_characteristics(&smoke());
+        let t = tab5_kind().tables(&smoke(), ExecMode::Planned).remove(0);
         assert_eq!(t.rows.len(), 55);
         let milc_class = t.get("milc_06", "class").unwrap();
         assert_eq!(milc_class, 2.0);

@@ -16,8 +16,8 @@ use padc_workloads::{random_workloads, Workload};
 use crate::metrics;
 
 use super::infra::{
-    plan_alone_units, standard_arms, ExecMode, ExpConfig, ExpKind, ExpTable, SimUnit, UnitKey,
-    UnitResult, UnitResults,
+    plan_alone_units, standard_arms, ExpConfig, ExpKind, ExpTable, SimUnit, UnitKey, UnitResult,
+    UnitResults,
 };
 
 /// The sweep workload set: 4-core mixes shared by all sweep points.
@@ -104,12 +104,6 @@ fn fig23_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
     t
 }
 
-/// Fig. 23: weighted speedup across DRAM row-buffer sizes (2KB–128KB) on
-/// the 4-core system. Columns are the arms, rows the row sizes.
-pub fn fig23_row_buffer_sweep(exp: &ExpConfig) -> ExpTable {
-    fig23_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn fig23_kind() -> ExpKind {
     ExpKind::planned(fig23_plan, |exp, results| vec![fig23_reduce(exp, results)])
 }
@@ -158,11 +152,6 @@ fn fig24_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
         t.push(format!("{} (closed-row)", arm.label), vec![ws, tr]);
     }
     t
-}
-
-/// Fig. 24: the closed-row policy vs the open-row baseline.
-pub fn fig24_closed_row(exp: &ExpConfig) -> ExpTable {
-    fig24_kind().tables(exp, ExecMode::Planned).remove(0)
 }
 
 pub(crate) fn fig24_kind() -> ExpKind {
@@ -218,17 +207,6 @@ fn ext_happy_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
     t
 }
 
-/// Extension (beyond the paper): the HAPPY-style per-row hybrid page
-/// policy (Ghasempour et al.; see PAPERS.md) against the paper's static
-/// open-row baseline and the Fig. 24 closed-row policy, crossed with
-/// PADC's APS/APD mechanisms off (`demand-first`) and on (`aps-only`,
-/// `aps-apd`). Prefetch-aware scheduling changes which rows look reusable
-/// at precharge time, so the predictor's training feeds back into the
-/// schedule this table probes.
-pub fn ext_happy(exp: &ExpConfig) -> ExpTable {
-    ext_happy_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn ext_happy_kind() -> ExpKind {
     ExpKind::planned(ext_happy_plan, |exp, results| {
         vec![ext_happy_reduce(exp, results)]
@@ -278,12 +256,6 @@ fn fig25_reduce(exp: &ExpConfig, results: &[UnitResult]) -> ExpTable {
     t
 }
 
-/// Fig. 25: weighted speedup across per-core L2 sizes (512KB–8MB) on the
-/// 4-core system.
-pub fn fig25_cache_sweep(exp: &ExpConfig) -> ExpTable {
-    fig25_kind().tables(exp, ExecMode::Planned).remove(0)
-}
-
 pub(crate) fn fig25_kind() -> ExpKind {
     ExpKind::planned(fig25_plan, |exp, results| vec![fig25_reduce(exp, results)])
 }
@@ -291,11 +263,14 @@ pub(crate) fn fig25_kind() -> ExpKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ExecMode;
     use crate::experiments::Scale;
 
     #[test]
     fn closed_row_table_has_both_policies() {
-        let t = fig24_closed_row(&ExpConfig::at(Scale::Smoke));
+        let t = fig24_kind()
+            .tables(&ExpConfig::at(Scale::Smoke), ExecMode::Planned)
+            .remove(0);
         assert!(t.rows.len() >= 7);
         assert!(t
             .rows

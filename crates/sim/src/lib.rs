@@ -38,6 +38,5 @@ mod system;
 pub use config::{MemPolicyConfig, SimConfig};
 pub use metrics::{CoreReport, Report, Traffic};
 pub use system::{
-    fast_forward_default, fast_forward_mode_default, set_fast_forward_default,
-    set_fast_forward_mode_default, FastForwardMode, System,
+    fast_forward_mode_default, set_fast_forward_mode_default, FastForwardMode, System,
 };

@@ -226,7 +226,7 @@ impl ServeState {
             Ok(completions) => {
                 let failed = completions
                     .iter()
-                    .filter(|c| !matches!(c.status, JobStatus::Ok | JobStatus::Skipped))
+                    .filter(|c| c.status != JobStatus::Ok)
                     .count();
                 let counters = crate::profile::service_counters();
                 emit(

@@ -20,16 +20,12 @@ use crate::{CoreReport, Report, SimConfig, Traffic};
 /// aggressively stall cycles are elided (DESIGN.md §11).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FastForwardMode {
-    /// Step every cycle (the reference behaviour).
+    /// Step every cycle (the reference oracle).
     Off,
-    /// Global jumps (PR 3): skip a range only when *every* core is
-    /// simultaneously pure-stalled and the controller proves no
-    /// observable work before the bound.
-    Global,
     /// Per-core event horizon (default): each idle core lags behind the
     /// global clock independently until its own wake-up, resynchronizing
-    /// only at observable-interaction points. Strictly supersedes
-    /// `Global` (global jumps still fire when every core lags).
+    /// only at observable-interaction points; when every core lags, the
+    /// global clock jumps to the earliest proven event.
     #[default]
     Horizon,
     /// Event-driven controller stepping: horizon scheduling for the
@@ -47,7 +43,6 @@ impl FastForwardMode {
     pub fn as_str(self) -> &'static str {
         match self {
             FastForwardMode::Off => "off",
-            FastForwardMode::Global => "global",
             FastForwardMode::Horizon => "horizon",
             FastForwardMode::Event => "event",
         }
@@ -57,23 +52,21 @@ impl FastForwardMode {
 impl std::str::FromStr for FastForwardMode {
     type Err = String;
 
-    /// Parses `off|global|horizon|event` (plus `0`/`false` → off and
-    /// `1`/`on`/`true` → horizon for `PADC_FAST_FORWARD` compatibility).
+    /// Parses `off|horizon|event`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "off" | "0" | "false" => Ok(FastForwardMode::Off),
-            "global" => Ok(FastForwardMode::Global),
-            "horizon" | "on" | "1" | "true" => Ok(FastForwardMode::Horizon),
+            "off" => Ok(FastForwardMode::Off),
+            "horizon" => Ok(FastForwardMode::Horizon),
             "event" => Ok(FastForwardMode::Event),
             other => Err(format!(
-                "unknown fast-forward mode '{other}' (expected off|global|horizon|event)"
+                "unknown fast-forward mode '{other}' (expected off|horizon|event)"
             )),
         }
     }
 }
 
-/// Process-wide default fast-forward mode: 0 = unset (fall back to the
-/// `PADC_FAST_FORWARD` environment variable), else 1 + the forced mode.
+/// Process-wide default fast-forward mode: 0 = unset (`Horizon`), else
+/// 1 + the forced mode.
 static FF_DEFAULT: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
 
 /// Overrides the process-wide fast-forward mode used by newly built
@@ -83,44 +76,20 @@ static FF_DEFAULT: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::ne
 pub fn set_fast_forward_mode_default(mode: FastForwardMode) {
     let v = match mode {
         FastForwardMode::Off => 1,
-        FastForwardMode::Global => 2,
-        FastForwardMode::Horizon => 3,
-        FastForwardMode::Event => 4,
+        FastForwardMode::Horizon => 2,
+        FastForwardMode::Event => 3,
     };
     FF_DEFAULT.store(v, std::sync::atomic::Ordering::Relaxed);
 }
 
-/// Boolean shorthand for [`set_fast_forward_mode_default`] kept for the
-/// `--no-fast-forward` flag: `true` selects the default `Horizon` mode,
-/// `false` disables fast-forwarding.
-pub fn set_fast_forward_default(enabled: bool) {
-    set_fast_forward_mode_default(if enabled {
-        FastForwardMode::Horizon
-    } else {
-        FastForwardMode::Off
-    });
-}
-
-/// The fast-forward mode for new [`System`]s: an explicit
-/// [`set_fast_forward_mode_default`] override wins; otherwise the
-/// `PADC_FAST_FORWARD` environment variable (`off`/`0`, `global`,
-/// `horizon`/`on`/`1`, `event`) is honoured; otherwise `Horizon`.
+/// The fast-forward mode for new [`System`]s: the last
+/// [`set_fast_forward_mode_default`] override, else `Horizon`.
 pub fn fast_forward_mode_default() -> FastForwardMode {
     match FF_DEFAULT.load(std::sync::atomic::Ordering::Relaxed) {
         1 => FastForwardMode::Off,
-        2 => FastForwardMode::Global,
-        3 => FastForwardMode::Horizon,
-        4 => FastForwardMode::Event,
-        _ => std::env::var("PADC_FAST_FORWARD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(FastForwardMode::Horizon),
+        3 => FastForwardMode::Event,
+        _ => FastForwardMode::Horizon,
     }
-}
-
-/// True when the default mode fast-forwards at all (not `Off`).
-pub fn fast_forward_default() -> bool {
-    fast_forward_mode_default() != FastForwardMode::Off
 }
 
 /// Per-core accounting kept by the memory subsystem.
@@ -549,9 +518,8 @@ impl MemorySystem for MemSubsystem {
 ///   sources are stepped at the global clock whenever *any* core is due
 ///   (cycle-exactly), and a global jump over a fully-lagging window is
 ///   taken only when bounded by `min(due)`,
-///   [`MemoryController::next_event`], the PAR rollover, and
-///   `max_cycles` — the same early-but-never-late bounds PR 3's global
-///   jump uses (DESIGN.md §11).
+///   [`MemoryController::next_event`], the PAR rollover, and the run's
+///   cycle limit — each early but never late (DESIGN.md §11).
 ///
 /// Together: every observable interaction (memory access, completion
 /// delivery, tracker update, retirement past the instruction target)
@@ -683,7 +651,7 @@ mod horizon {
 
 /// Event-driven controller stepping: the bookkeeping for
 /// [`FastForwardMode::Event`] and the invariants that make it
-/// bit-identical to the other three modes.
+/// bit-identical to the other two modes.
 ///
 /// Horizon mode already elides most *core* ticks but still executes the
 /// controller phase (controller tick, accuracy-tracker tick, per-channel
@@ -981,10 +949,10 @@ impl System {
     /// only *due* cores execute a real tick; lagging cores are left
     /// untouched until a resync point replays their stall window (see the
     /// `horizon` module docs). With `hz == None` every core ticks
-    /// (`Off`/`Global`). With `ev` set (event mode), the controller phase
-    /// executes only at cycles the cached event proof cannot rule out
-    /// (see the `event` module docs); with `ev == None` it executes every
-    /// stepped cycle.
+    /// (`Off`). With `ev` set (event mode), the controller phase executes
+    /// only at cycles the cached event proof cannot rule out (see the
+    /// `event` module docs); with `ev == None` it executes every stepped
+    /// cycle.
     fn step_inner(
         &mut self,
         mut hz: Option<&mut horizon::HorizonState>,
@@ -1062,70 +1030,20 @@ impl System {
         self.now += 1;
     }
 
-    /// Attempts one idle fast-forward jump; returns the number of cycles
-    /// skipped (0 when any component could make progress).
+    /// Attempts one global jump; returns the number of cycles skipped (0
+    /// when any component could make progress).
     ///
-    /// Valid immediately after [`System::step`]: every skipped cycle is
-    /// proven to be a pure stall tick for every core
-    /// ([`Core::idle_state`]) and observable-work-free for the controller
-    /// ([`MemoryController::next_event`](padc_core::MemoryController::next_event)),
-    /// with `PAR` interval rollovers kept as explicit stop events. The only
-    /// state change a skip applies is the per-core stall-counter bumps the
-    /// skipped ticks would have made — which is what keeps fast-forwarded
-    /// runs bit-identical to cycle-by-cycle stepping (DESIGN.md §11).
-    pub fn try_fast_forward(&mut self) -> u64 {
-        self.global_jump(self.cfg.max_cycles)
-    }
-
-    /// [`System::try_fast_forward`] with the jump capped at `limit`
-    /// (`<= max_cycles`) instead of `max_cycles`.
-    fn global_jump(&mut self, limit: Cycle) -> u64 {
-        let now = self.now;
-        // Once the last core hits its instruction target the run is over at
-        // exactly this cycle; jumping further would inflate `total_cycles`
-        // relative to a cycle-by-cycle run, which stops here too.
-        if now >= limit || self.finished() {
-            return 0;
-        }
-        // PAR rollovers re-derive drop thresholds, criticality, urgency and
-        // rank; every bound below is only valid while PAR is stable.
-        let mut target = self.mem.tracker.next_rollover();
-        for core in &self.cores {
-            match core.idle_state(now) {
-                None => return 0,
-                Some(idle) => {
-                    if let Some(w) = idle.wake_at {
-                        target = target.min(w);
-                    }
-                }
-            }
-        }
-        if let Some(ev) = self.mem.controller.next_event(now, &self.mem.tracker) {
-            target = target.min(ev);
-        }
-        target = target.min(limit);
-        if target <= now {
-            return 0;
-        }
-        let skipped = target - now;
-        for core in &mut self.cores {
-            let idle = core.idle_state(now).expect("idle-checked above");
-            core.skip_idle_cycles(&idle, skipped);
-        }
-        self.profile.ff_jumps += 1;
-        self.profile.ff_cycles_skipped += skipped;
-        self.profile.core_cycles_skipped += skipped * self.cfg.cores as u64;
-        self.profile.ctrl_cycles_skipped += skipped;
-        self.now = target;
-        skipped
-    }
-
-    /// Attempts one global jump in horizon or event mode: fires only when
-    /// *every* core lags past `now`, bounded by the earliest due tick, the
-    /// controller's next event, the PAR rollover, and `limit`. The
-    /// cores' deferred replays are *not* applied here — their lag windows
-    /// simply span the jump and are replayed at their next resync, which
-    /// is what lets the skipped span be counted per-core exactly once.
+    /// Valid immediately after a `step_inner`, with `self.now` at the next
+    /// unexecuted cycle. The jump fires only when *every* core lags past
+    /// `now` (each lag window is a proven pure-stall span, I2) and lands on
+    /// the minimum of the earliest due tick, the controller's next event
+    /// ([`MemoryController::next_event`](padc_core::MemoryController::next_event),
+    /// early but never late), the PAR rollover, and `limit`; the next step
+    /// then executes the landing cycle exactly as a cycle-stepped run
+    /// does. The cores' deferred replays are *not* applied here — their
+    /// lag windows simply span the jump and are replayed at their next
+    /// resync, which is what lets the skipped span be counted per-core
+    /// exactly once.
     ///
     /// In event mode the cached (validated) bound replaces the fresh
     /// `next_event` call — same value, computed once (E4).
@@ -1136,9 +1054,13 @@ impl System {
         limit: Cycle,
     ) -> u64 {
         let now = self.now;
+        // A finished run is over at exactly this cycle; jumping further
+        // would inflate `total_cycles` past the cycle-stepped run's.
         if now >= limit || self.finished() || !hz.all_lagging(now) {
             return 0;
         }
+        // PAR rollovers re-derive drop thresholds, criticality, urgency and
+        // rank; every other bound is only valid while PAR is stable.
         let mut target = self.mem.tracker.next_rollover().min(hz.min_due());
         match ev {
             Some(ev) => {
@@ -1179,21 +1101,6 @@ impl System {
         self.ff_mode
     }
 
-    /// Boolean shorthand for [`System::set_fast_forward_mode`]: `true`
-    /// selects `Horizon`, `false` selects `Off`.
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff_mode = if enabled {
-            FastForwardMode::Horizon
-        } else {
-            FastForwardMode::Off
-        };
-    }
-
-    /// True when [`System::run`] fast-forwards at all (mode is not `Off`).
-    pub fn fast_forward_enabled(&self) -> bool {
-        self.ff_mode != FastForwardMode::Off
-    }
-
     /// The hot-path profile accumulated so far (see [`crate::profile`]).
     pub fn profile(&self) -> &SimProfile {
         &self.profile
@@ -1223,12 +1130,6 @@ impl System {
             FastForwardMode::Off => {
                 while !self.finished() && self.now < limit {
                     self.step();
-                }
-            }
-            FastForwardMode::Global => {
-                while !self.finished() && self.now < limit {
-                    self.step();
-                    self.global_jump(limit);
                 }
             }
             FastForwardMode::Horizon => {

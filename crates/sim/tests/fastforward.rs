@@ -3,17 +3,20 @@
 //! Fast-forwarding must be invisible in the results: a [`System`] run in
 //! any [`FastForwardMode`] produces a byte-identical [`Report`] to the
 //! same system stepped cycle by cycle (`Off`). These tests exercise that
-//! contract over randomized multi-core configurations — for the
-//! global-jump mode, the per-core event horizon, and event-driven
-//! controller stepping — check the core-cycle and controller-cycle
-//! accounting invariants, and pin down the one event source that is
-//! always a jump bound: the accuracy tracker's interval rollover.
+//! contract over randomized multi-core configurations — for the per-core
+//! event horizon and event-driven controller stepping — check the
+//! core-cycle and controller-cycle accounting invariants, and pin down the
+//! one event source that is always a jump bound: the accuracy tracker's
+//! interval rollover.
 
 use padc_core::SchedulingPolicy;
 use padc_dram::RefreshPolicy;
 use padc_sim::{FastForwardMode, SimConfig, System};
 use padc_workloads::{profiles, BenchProfile};
 use proptest::prelude::*;
+
+/// The fast modes, each checked against the stepped `Off` reference.
+const MODES: [FastForwardMode; 2] = [FastForwardMode::Horizon, FastForwardMode::Event];
 
 const POLICIES: [SchedulingPolicy; 5] = [
     SchedulingPolicy::DemandPrefetchEqual,
@@ -83,24 +86,44 @@ fn run_mode(
     (json, *sys.profile(), sys.now())
 }
 
-/// Core 0's `PAR` observed at each chunk bound: `(now, accuracy)`.
-type ParTrace = Vec<(u64, f64)>;
+/// Where a chunked run stops between slices.
+#[derive(Clone, Copy, Debug)]
+enum Bounds {
+    /// Every `n` cycles.
+    Every(u64),
+    /// At each pending `PAR` rollover and again one cycle later, so the
+    /// trace samples `PAR` just before and just after every rollover.
+    Rollovers,
+}
 
-/// Runs one configuration in `chunk`-cycle slices, reading core 0's `PAR`
-/// at every bound, then finishes with `run`. With `mode == None` each
-/// slice is stepped cycle by cycle (the `Off` reference); otherwise each
-/// slice is one `run_until` call in that mode.
+impl Bounds {
+    /// The bound after `prev`, given the stopped system.
+    fn next(self, sys: &System, prev: u64) -> u64 {
+        match self {
+            Bounds::Every(n) => prev + n,
+            Bounds::Rollovers => sys.next_accuracy_rollover().max(sys.now() + 1),
+        }
+    }
+}
+
+/// Sampled at each bound: `(now, core 0's PAR, next pending rollover)`.
+type ParTrace = Vec<(u64, f64, u64)>;
+
+/// Runs one configuration in slices ending at `bounds`, sampling `PAR` at
+/// every bound, then finishes with `run`. With `mode == None` each slice
+/// is stepped cycle by cycle (the `Off` reference); otherwise each slice
+/// is one `run_until` call in that mode.
 fn run_chunked(
     cfg: &SimConfig,
     cores: usize,
     first_bench: usize,
     mode: Option<FastForwardMode>,
-    chunk: u64,
+    bounds: Bounds,
 ) -> (String, ParTrace) {
     let mut sys = System::new(cfg.clone(), workloads(cores, first_bench));
     sys.set_fast_forward_mode(mode.unwrap_or(FastForwardMode::Off));
     let mut trace = Vec::new();
-    let mut bound = chunk;
+    let mut bound = bounds.next(&sys, 0);
     while !sys.finished() {
         match mode {
             Some(_) => sys.run_until(bound),
@@ -110,8 +133,8 @@ fn run_chunked(
                 }
             }
         }
-        trace.push((sys.now(), sys.accuracy(0)));
-        bound += chunk;
+        trace.push((sys.now(), sys.accuracy(0), sys.next_accuracy_rollover()));
+        bound = bounds.next(&sys, bound);
     }
     let json = serde_json::to_string(&sys.run()).expect("serialize");
     (json, trace)
@@ -121,13 +144,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The full report — every stat the suite serializes — is
-    /// byte-identical across all four fast-forward modes, and the
+    /// byte-identical across all three fast-forward modes, and the
     /// cycle-accounting invariants hold in each:
     /// `core_cycles_ticked + core_cycles_skipped == cores × total_cycles`
     /// and `ctrl_cycles_stepped + ctrl_cycles_skipped == total_cycles`.
-    /// Slicing a run with `run_until` at arbitrary `chunk` bounds is
-    /// invisible too: every mode stops at the same cycles with the same
-    /// `PAR` as a cycle-stepped run, and finishes with the same report.
+    /// Slicing a run with `run_until` — at arbitrary `chunk` bounds, and
+    /// at every `PAR` rollover — is invisible too: every mode stops at the
+    /// same cycles with the same `PAR` as a cycle-stepped run, and
+    /// finishes with the same report.
     #[test]
     fn reports_are_byte_identical(seed in 1u64..1_000,
                                   cores in 1usize..4,
@@ -143,32 +167,29 @@ proptest! {
 
         let (off_json, off_p, off_now) =
             run_mode(&cfg, cores, first_bench, FastForwardMode::Off);
-        let (glob_json, glob_p, glob_now) =
-            run_mode(&cfg, cores, first_bench, FastForwardMode::Global);
         let (hor_json, hor_p, hor_now) =
             run_mode(&cfg, cores, first_bench, FastForwardMode::Horizon);
         let (ev_json, ev_p, ev_now) =
             run_mode(&cfg, cores, first_bench, FastForwardMode::Event);
 
-        prop_assert_eq!(&off_json, &glob_json, "global-jump mode diverged");
         prop_assert_eq!(&off_json, &hor_json, "horizon mode diverged");
         prop_assert_eq!(&off_json, &ev_json, "event mode diverged");
         // All paths must agree on termination time as well.
-        prop_assert_eq!(off_now, glob_now);
         prop_assert_eq!(off_now, hor_now);
         prop_assert_eq!(off_now, ev_now);
-        // Sanity: the fast paths actually skipped something, otherwise
+        // Sanity: the all-cores-lagging jump actually fired, otherwise
         // this test exercises nothing (idle cycles exist in any
-        // DRAM-bound run).
-        prop_assert!(glob_p.ff_cycles_skipped > 0, "global jumps never fired");
-        prop_assert_eq!(glob_p.cycles_stepped,
-                        off_p.cycles_stepped - glob_p.ff_cycles_skipped);
+        // DRAM-bound run), and every global cycle was either stepped or
+        // jumped over.
+        prop_assert!(hor_p.ff_cycles_skipped > 0, "horizon jumps never fired");
+        for p in [&hor_p, &ev_p] {
+            prop_assert_eq!(p.cycles_stepped + p.ff_cycles_skipped, off_p.cycles_stepped);
+        }
         // Cycle accounting: every (core, cycle) pair was either ticked for
         // real or replayed as a stall bump, exactly once — and every global
         // cycle either executed the controller phase or was covered by a
         // proven-idle bound.
-        for (name, p) in [("off", &off_p), ("global", &glob_p),
-                          ("horizon", &hor_p), ("event", &ev_p)] {
+        for (name, p) in [("off", &off_p), ("horizon", &hor_p), ("event", &ev_p)] {
             prop_assert_eq!(
                 p.core_cycles_ticked + p.core_cycles_skipped,
                 cores as u64 * off_now,
@@ -180,10 +201,6 @@ proptest! {
                 "controller-cycle accounting broken in {} mode", name
             );
         }
-        // The per-core horizon strictly supersedes global jumps: every
-        // globally skippable cycle is inside some per-core lag window.
-        prop_assert!(hor_p.core_cycles_skipped >= glob_p.core_cycles_skipped,
-                     "horizon skipped fewer core-cycles than global");
         // Event mode executes the controller only at proven event times,
         // so it never steps the controller more than horizon does — and
         // every executed controller cycle is an event it fired.
@@ -192,24 +209,25 @@ proptest! {
         prop_assert_eq!(ev_p.ctrl_events_fired, ev_p.ctrl_cycles_stepped);
         prop_assert_eq!(hor_p.ctrl_events_fired, 0);
 
-        let (stepped_json, stepped_trace) =
-            run_chunked(&cfg, cores, first_bench, None, chunk);
-        prop_assert_eq!(&off_json, &stepped_json, "stepping then run diverged");
-        for mode in [FastForwardMode::Off, FastForwardMode::Global,
-                     FastForwardMode::Horizon, FastForwardMode::Event] {
-            let (json, trace) = run_chunked(&cfg, cores, first_bench, Some(mode), chunk);
-            prop_assert_eq!(&off_json, &json, "chunked {:?} run diverged", mode);
-            prop_assert_eq!(&stepped_trace, &trace,
-                            "chunked {:?} run sampled a different PAR", mode);
+        for bounds in [Bounds::Every(chunk), Bounds::Rollovers] {
+            let (stepped_json, stepped_trace) =
+                run_chunked(&cfg, cores, first_bench, None, bounds);
+            prop_assert_eq!(&off_json, &stepped_json, "stepping then run diverged");
+            for mode in [FastForwardMode::Off, FastForwardMode::Horizon, FastForwardMode::Event] {
+                let (json, trace) = run_chunked(&cfg, cores, first_bench, Some(mode), bounds);
+                prop_assert_eq!(&off_json, &json, "{:?} {:?} run diverged", bounds, mode);
+                prop_assert_eq!(&stepped_trace, &trace,
+                                "{:?} {:?} run sampled a different PAR", bounds, mode);
+            }
         }
     }
 }
 
 /// An 8-core memory-hog mix (the configuration the CI perf gate guards):
-/// all four modes agree byte-for-byte, the horizon skips strictly more
-/// core-cycles than global jumps alone — the whole point of the per-core
-/// event horizon — and event mode executes strictly fewer controller
-/// cycles than horizon while firing at least one event per DRAM command.
+/// all three modes agree byte-for-byte, the horizon lags cores and jumps
+/// the global clock when every core lags, and event mode executes
+/// strictly fewer controller cycles than horizon while firing at least
+/// one event per DRAM command.
 #[test]
 fn eight_core_memory_hog_mix_agrees_across_modes() {
     let mut cfg = SimConfig::new(8, SchedulingPolicy::Padc);
@@ -236,19 +254,12 @@ fn eight_core_memory_hog_mix_agrees_across_modes() {
         )
     };
     let (off_json, off_p) = run(FastForwardMode::Off);
-    let (glob_json, glob_p) = run(FastForwardMode::Global);
     let (hor_json, hor_p) = run(FastForwardMode::Horizon);
     let (ev_json, ev_p) = run(FastForwardMode::Event);
-    assert_eq!(off_json, glob_json);
     assert_eq!(off_json, hor_json);
     assert_eq!(off_json, ev_json);
-    assert!(
-        hor_p.core_skip_ratio() > glob_p.core_skip_ratio(),
-        "horizon ({:.3}) should beat global ({:.3}) on an 8-core mix",
-        hor_p.core_skip_ratio(),
-        glob_p.core_skip_ratio()
-    );
     assert!(hor_p.horizon_resyncs > 0, "horizon never lagged a core");
+    assert!(hor_p.ff_jumps > 0, "no all-cores-lagging jump fired");
     assert_eq!(off_p.core_cycles_skipped, 0);
     // Event mode: the controller phase runs only at fired events, skips a
     // real fraction of stepped cycles, and its accounting closes.
@@ -270,7 +281,7 @@ fn eight_core_memory_hog_mix_agrees_across_modes() {
 
 /// Deterministic sweep of the full refresh × fast-forward matrix: each
 /// refresh policy (and the no-refresh legacy default) agrees byte-for-byte
-/// across all four modes, and the per-bank policies actually refresh. The
+/// across all three modes, and the per-bank policies actually refresh. The
 /// proptest above samples this space; this pins every cell.
 #[test]
 fn refresh_policies_agree_across_all_modes() {
@@ -280,11 +291,7 @@ fn refresh_policies_agree_across_all_modes() {
         off.set_fast_forward_mode(FastForwardMode::Off);
         let off_report = off.run();
         let off_json = serde_json::to_string(&off_report).expect("serialize");
-        for mode in [
-            FastForwardMode::Global,
-            FastForwardMode::Horizon,
-            FastForwardMode::Event,
-        ] {
+        for mode in MODES {
             let (json, _, now) = run_mode(&cfg, 2, 0, mode);
             assert_eq!(
                 off_json, json,
@@ -303,66 +310,39 @@ fn refresh_policies_agree_across_all_modes() {
     }
 }
 
-/// PAR interval rollovers are an explicit fast-forward event source: both
-/// paths must observe every 100K-cycle accuracy-tracker rollover at the
+/// Runs `cfg` sliced at every `PAR` rollover, stepped and in each fast
+/// mode, and checks that every mode samples the same `(now, PAR, pending
+/// rollover)` trace and report as the stepped reference, and that the
+/// reference services each rollover `r` at exactly cycle `r`: the sample
+/// taken at `r` still has `r` pending, the one at `r + 1` has moved on.
+fn assert_rollovers_match(cfg: &SimConfig, cores: usize) {
+    let (off_json, off_trace) = run_chunked(cfg, cores, 0, None, Bounds::Rollovers);
+    let serviced = off_trace
+        .windows(2)
+        .filter(|w| w[0].0 == w[0].2 && w[1].0 == w[0].0 + 1)
+        .inspect(|w| assert!(w[1].2 > w[0].2, "rollover at {} not serviced", w[0].0))
+        .count();
+    assert!(serviced > 0, "run too short to roll over");
+    for mode in MODES {
+        let (json, trace) = run_chunked(cfg, cores, 0, Some(mode), Bounds::Rollovers);
+        assert_eq!(off_json, json, "{mode:?} diverged");
+        assert_eq!(off_trace, trace, "{mode:?} serviced a rollover elsewhere");
+    }
+}
+
+/// PAR interval rollovers are an explicit fast-forward event source: every
+/// mode must observe every 100K-cycle accuracy-tracker rollover at the
 /// same cycle, in the same order — otherwise APD thresholds and APS
 /// prioritization would diverge.
 #[test]
 fn par_rollovers_land_on_the_same_cycles() {
-    let cfg = small_config(7, 2, 4, 4_000); // Padc: APD + APS exercised
-    let mut slow = System::new(cfg.clone(), workloads(2, 0));
-    slow.set_fast_forward(false);
-    let mut fast = System::new(cfg, workloads(2, 0));
-    fast.set_fast_forward(true);
-
-    // Record the cycle at which each rollover becomes *pending* (the value
-    // of `next_accuracy_rollover` changes exactly when one is consumed).
-    let mut slow_rollovers = Vec::new();
-    while !slow.finished() {
-        let before = slow.next_accuracy_rollover();
-        slow.step();
-        let after = slow.next_accuracy_rollover();
-        if after != before {
-            slow_rollovers.push((before, slow.now()));
-        }
-    }
-    let mut fast_rollovers = Vec::new();
-    while !fast.finished() {
-        let before = fast.next_accuracy_rollover();
-        fast.step();
-        let after = fast.next_accuracy_rollover();
-        if after != before {
-            fast_rollovers.push((before, fast.now()));
-        }
-        fast.try_fast_forward();
-    }
-
-    assert!(!slow_rollovers.is_empty(), "run too short to roll over");
-    // Each rollover fires at its scheduled cycle on both paths: the tick
-    // that consumes rollover `r` is cycle `r` itself (now == r + 1 after).
-    for &(r, after) in &slow_rollovers {
-        assert_eq!(after, r + 1, "slow path serviced a rollover late");
-    }
-    assert_eq!(slow_rollovers, fast_rollovers);
+    assert_rollovers_match(&small_config(7, 2, 4, 4_000), 2); // Padc: APD + APS
 }
 
-/// Fast-forward jumps never cross a pending rollover: a jump taken with
-/// the tracker about to roll over must stop at or before that boundary.
+/// Fast-forward jumps never cross a pending rollover: a run bounded by the
+/// rollover stops exactly on it with the pre-rollover `PAR`, and one cycle
+/// later the rollover has been applied, in every mode.
 #[test]
 fn jumps_stop_at_rollover_boundaries() {
-    let cfg = small_config(11, 1, 1, 6_000);
-    let mut sys = System::new(cfg, workloads(1, 0));
-    sys.set_fast_forward(true);
-    while !sys.finished() {
-        let bound = sys.next_accuracy_rollover();
-        sys.step();
-        let skipped = sys.try_fast_forward();
-        if skipped > 0 {
-            assert!(
-                sys.now() <= bound,
-                "jump to {} crossed the rollover pending at {bound}",
-                sys.now()
-            );
-        }
-    }
+    assert_rollovers_match(&small_config(11, 1, 1, 150_000), 1);
 }

@@ -2,9 +2,12 @@
 //! (DESIGN.md §12): cold, warm, and no-store suite runs must produce
 //! byte-identical JSONL; a warm run must execute zero simulation units;
 //! and poisoned entries (truncation, fingerprint drift, garbage) must be
-//! recomputed — never trusted — while the store self-heals. fig4, whose
-//! one unit samples `PAR` as it runs, resolves through the store the same
-//! way, and its float samples survive the round trip bit for bit.
+//! recomputed — never trusted — while the store self-heals. The store is
+//! the one incremental-rerun mechanism: a rerun after an interrupted run
+//! recomputes exactly the units the interrupted run never stored, and a
+//! run at another scale reuses nothing. fig4, whose one unit samples `PAR`
+//! as it runs, resolves through the store the same way, and its float
+//! samples survive the round trip bit for bit.
 //!
 //! The store slot and the in-memory claim map are process-wide, so the
 //! whole scenario lives in **one** `#[test]`, phased in order.
@@ -30,11 +33,16 @@ fn run_subset() -> (String, Summary) {
 
 /// Runs the smoke-scale experiments `ids` through the suite.
 fn run_ids(ids: &[&str]) -> (String, Summary) {
+    run_ids_at(ids, ExpConfig::at(Scale::Smoke))
+}
+
+/// Runs the experiments `ids` at `exp` through the suite.
+fn run_ids_at(ids: &[&str], exp: ExpConfig) -> (String, Summary) {
     let selected: Vec<_> = ids
         .iter()
         .map(|id| experiments::find(id).expect("known id"))
         .collect();
-    let jobs = experiments::suite_jobs(selected, ExpConfig::at(Scale::Smoke), None);
+    let jobs = experiments::suite_jobs(selected, exp, None);
     let cfg = HarnessConfig {
         workers: 2,
         budget: None,
@@ -167,8 +175,66 @@ fn store_runs_are_byte_identical_and_strictly_validated() {
     let (plain, _) = run_subset();
     assert_eq!(plain, baseline, "no-store run changed the artifact");
 
+    interrupted_runs_resume_from_the_store(&dir.join("resume"), &baseline, cold_misses);
     fig4_resolves_as_one_stored_unit(&dir.join("fig4"));
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Per-run store counters: `(hits, misses)` since `before`.
+fn hits_misses_since(before: experiments::UnitCacheStats) -> (u64, u64) {
+    let now = experiments::unit_cache_stats();
+    (
+        now.store_hits - before.store_hits,
+        now.store_misses - before.store_misses,
+    )
+}
+
+/// A run interrupted after `tab5` left only tab5's units in the store.
+/// Rerunning the whole subset hits exactly those units, computes only the
+/// rest (`subset_units` distinct units in all), and writes the bytes of a
+/// run without a store. A run at another scale shares no unit key with
+/// the stored ones, so it hits nothing and its rows differ.
+fn interrupted_runs_resume_from_the_store(dir: &Path, baseline: &str, subset_units: u64) {
+    let _ = fs::remove_dir_all(dir);
+    experiments::install_unit_store(dir).expect("store opens");
+    experiments::reset_memory_cells();
+    let before = experiments::unit_cache_stats();
+    let (partial, _) = run_ids(&["tab5"]);
+    let (hits, tab5_units) = hits_misses_since(before);
+    assert_eq!(hits, 0, "an empty store cannot hit");
+    assert!(tab5_units > 0 && tab5_units < subset_units);
+
+    experiments::reset_memory_cells();
+    let before = experiments::unit_cache_stats();
+    let (rerun, _) = run_subset();
+    assert_eq!(
+        rerun, baseline,
+        "rerun after an interruption changed the artifact"
+    );
+    assert_eq!(
+        hits_misses_since(before),
+        (tab5_units, subset_units - tab5_units),
+        "the rerun must reuse every stored unit and compute only the rest"
+    );
+
+    let smoke = ExpConfig::at(Scale::Smoke);
+    let smaller = ExpConfig {
+        instructions: smoke.instructions / 2,
+        instructions_single: smoke.instructions_single / 2,
+        ..smoke
+    };
+    experiments::reset_memory_cells();
+    let before = experiments::unit_cache_stats();
+    let (rescaled, _) = run_ids_at(&["tab5"], smaller);
+    assert_eq!(
+        hits_misses_since(before),
+        (0, tab5_units),
+        "a run at another scale must not reuse stored units"
+    );
+    assert_ne!(rescaled, partial, "the scale must reach the rows");
+
+    experiments::uninstall_unit_store();
+    experiments::reset_memory_cells();
 }
 
 /// Bit patterns of a sample vector (float `==` would equate `0.0` and

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local CI gate: shellcheck, formatting, lints, release build, docs, the
-# root test suite, the simulator's integration suites, and the
+# root test suite, every crate's integration suites, and the
 # EXPERIMENTS.md drift check. Everything runs
 # offline (external deps are vendored; see vendor/README.md). Each step
 # prints its elapsed seconds, and the same per-step timings land in the
@@ -40,10 +40,13 @@ step "cargo clippy --workspace --all-targets -- -D warnings" \
 step "cargo build --release --workspace" cargo build --release --workspace
 step "cargo doc --no-deps (warnings denied)" doc_step
 step "cargo test -q" cargo test -q
-# The simulator's integration suites: the four-mode bit-identity matrix,
-# the next_event and request-buffer oracles, resume, serve and store.
-step "cargo test --release -p padc-core -p padc-sim --test '*'" \
-    cargo test --release -q -p padc-core -p padc-sim --test '*'
+# Every crate's integration suites: the three-mode bit-identity matrix,
+# the next_event and request-buffer oracles, serve and store, the harness
+# scheduler and suite tests, and the component proptests. Lib unit tests
+# stay out until single_run_memo_computes_each_key_once no longer races
+# on the process-global memo counters.
+step "cargo test --release --workspace --test '*'" \
+    cargo test --release -q --workspace --test '*'
 step "cargo test --doc" cargo test --doc -q
 step "EXPERIMENTS.md drift check" \
     python3 scripts/make_experiments_md.py --check repro_full.jsonl

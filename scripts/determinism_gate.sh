@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Determinism gate: the suite's JSONL artifact must be byte-identical
 # across worker counts (the unified scheduler emits rows in registry
-# order with no timing data) and across all four fast-forward modes
-# (off / global / horizon / event — skipped cycles must be invisible in
-# results, DESIGN.md §11); `--resume` on a settled artifact must execute zero
-# experiments while reproducing it byte for byte, even when the artifact
-# was produced under a different fast-forward mode.
+# order with no timing data), across all three fast-forward modes
+# (off / horizon / event — skipped cycles must be invisible in results,
+# DESIGN.md §11), across --exec modes, and across cold, warm and no
+# unit store (the store is the one incremental-rerun mechanism).
 #
 # Runs a smoke-scale subset so the gate stays under a minute; any byte
 # difference is a hard failure. No run uses --profile: profiled
@@ -43,37 +42,20 @@ if ! cmp "$OUT/j1.jsonl" "$OUT/j8.jsonl"; then
 fi
 echo "   byte-identical ($(wc -c <"$OUT/j1.jsonl") bytes, $(wc -l <"$OUT/j1.jsonl") rows)"
 
-gate_section "resume on settled artifact"
-echo "== resume: settled artifact must execute zero experiments"
-"$REPRO" --smoke --jobs 8 --no-progress --jsonl "$OUT/full.jsonl" >/dev/null
-cp "$OUT/full.jsonl" "$OUT/orig.jsonl"
-"$REPRO" --smoke --jobs 8 --no-progress --resume "$OUT/full.jsonl" \
-    --summary "$OUT/summary.json" >/dev/null
-if ! cmp "$OUT/full.jsonl" "$OUT/orig.jsonl"; then
-    echo "FAIL: resumed artifact differs from the original" >&2
-    exit 1
-fi
-if ! grep -q '"ok": 0,' "$OUT/summary.json"; then
-    echo "FAIL: resume executed experiments on a settled artifact:" >&2
-    cat "$OUT/summary.json" >&2
-    exit 1
-fi
-echo "   zero executions, artifact byte-identical"
-
-gate_section "fast-forward four-mode matrix"
-echo "== fast-forward: off vs global vs horizon vs event on ${SUBSET[*]} (smoke scale)"
-for mode in off global horizon event; do
+gate_section "fast-forward three-mode matrix"
+echo "== fast-forward: off vs horizon vs event on ${SUBSET[*]} (smoke scale)"
+for mode in off horizon event; do
     "$REPRO" --smoke --jobs 8 --no-progress --fast-forward "$mode" \
         --jsonl "$OUT/ff-$mode.jsonl" "${SUBSET[@]}" >/dev/null
 done
-for mode in global horizon event; do
+for mode in horizon event; do
     if ! cmp "$OUT/ff-off.jsonl" "$OUT/ff-$mode.jsonl"; then
         echo "FAIL: JSONL differs between --fast-forward off and $mode" >&2
         diff "$OUT/ff-off.jsonl" "$OUT/ff-$mode.jsonl" >&2 || true
         exit 1
     fi
 done
-echo "   byte-identical across all four modes ($(wc -c <"$OUT/ff-off.jsonl") bytes)"
+echo "   byte-identical across all three modes ($(wc -c <"$OUT/ff-off.jsonl") bytes)"
 
 gate_section "exec planned vs monolithic"
 echo "== exec modes: planned vs monolithic on grid/sweep/mechanism experiments"
@@ -93,37 +75,6 @@ if ! cmp "$OUT/exec-planned.jsonl" "$OUT/exec-monolithic.jsonl"; then
     exit 1
 fi
 echo "   byte-identical ($(wc -c <"$OUT/exec-planned.jsonl") bytes, $(wc -l <"$OUT/exec-planned.jsonl") rows)"
-
-gate_section "cross-mode resume"
-echo "== resume across modes: off-mode artifact resumed under horizon and event"
-for mode in horizon event; do
-    "$REPRO" --smoke --jobs 8 --no-progress --fast-forward "$mode" \
-        --resume "$OUT/ff-off.jsonl" --jsonl "$OUT/cross-$mode.jsonl" \
-        --summary "$OUT/cross-$mode-summary.json" "${SUBSET[@]}" >/dev/null
-    if ! cmp "$OUT/cross-$mode.jsonl" "$OUT/ff-off.jsonl"; then
-        echo "FAIL: cross-mode resume under $mode did not re-emit settled rows verbatim" >&2
-        exit 1
-    fi
-    if ! grep -q '"ok": 0,' "$OUT/cross-$mode-summary.json"; then
-        echo "FAIL: cross-mode resume under $mode executed experiments on a settled artifact:" >&2
-        cat "$OUT/cross-$mode-summary.json" >&2
-        exit 1
-    fi
-done
-echo "== resume across modes: event-mode artifact resumed under the default mode"
-"$REPRO" --smoke --jobs 8 --no-progress \
-    --resume "$OUT/ff-event.jsonl" --jsonl "$OUT/cross-back.jsonl" \
-    --summary "$OUT/cross-back-summary.json" "${SUBSET[@]}" >/dev/null
-if ! cmp "$OUT/cross-back.jsonl" "$OUT/ff-off.jsonl"; then
-    echo "FAIL: event-mode artifact was not re-emitted verbatim under the default mode" >&2
-    exit 1
-fi
-if ! grep -q '"ok": 0,' "$OUT/cross-back-summary.json"; then
-    echo "FAIL: event-artifact resume executed experiments on a settled artifact:" >&2
-    cat "$OUT/cross-back-summary.json" >&2
-    exit 1
-fi
-echo "   zero executions, artifacts byte-identical in both directions"
 
 gate_section "store cold vs warm vs none"
 echo "== store: cold vs warm vs no-store byte identity on planned subset"

@@ -4,7 +4,7 @@
 # PADC), `ext-happy` (HAPPY hybrid page policy crossed with APS/APD), and
 # `ext-refresh` (per-bank refresh and DARP refresh-access parallelism) —
 # must satisfy the same determinism contract as the rest of the suite:
-# byte-identical JSONL across --jobs 1 / --jobs 8 and across all four
+# byte-identical JSONL across --jobs 1 / --jobs 8 and across all three
 # --fast-forward modes. A profiled run must additionally show a nonzero
 # DSPatch modulator flip count ("dspatch_flips" in the profile object),
 # proving the Coverage<->Accuracy modulator actually engages at smoke
@@ -52,20 +52,20 @@ if ! cmp "$OUT/j1.jsonl" "$OUT/j8.jsonl"; then
 fi
 echo "   byte-identical ($(wc -c <"$OUT/j1.jsonl") bytes, $(wc -l <"$OUT/j1.jsonl") rows)"
 
-gate_section "fast-forward four-mode matrix"
-echo "== mechanisms: off vs global vs horizon vs event on ${FAMILIES[*]}"
-for mode in off global horizon event; do
+gate_section "fast-forward three-mode matrix"
+echo "== mechanisms: off vs horizon vs event on ${FAMILIES[*]}"
+for mode in off horizon event; do
     "$REPRO" --smoke --jobs 8 --no-progress --fast-forward "$mode" \
         --jsonl "$OUT/ff-$mode.jsonl" "${FAMILIES[@]}" >/dev/null
 done
-for mode in global horizon event; do
+for mode in horizon event; do
     if ! cmp "$OUT/ff-off.jsonl" "$OUT/ff-$mode.jsonl"; then
         echo "FAIL: JSONL differs between --fast-forward off and $mode" >&2
         diff "$OUT/ff-off.jsonl" "$OUT/ff-$mode.jsonl" >&2 || true
         exit 1
     fi
 done
-echo "   byte-identical across all four modes ($(wc -c <"$OUT/ff-off.jsonl") bytes)"
+echo "   byte-identical across all three modes ($(wc -c <"$OUT/ff-off.jsonl") bytes)"
 
 gate_section "table shape"
 echo "== mechanisms: ext-dspatch emits both prefetcher sets, ext-happy all three policies,"
